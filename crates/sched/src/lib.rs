@@ -13,10 +13,13 @@
 //!   while its owner is away and no guest occupies it, with
 //!   probe-style exponentially-weighted utilization estimates (and an
 //!   optional pre-run calibration probe, the simulated `uptime` the
-//!   paper calibrated against).
+//!   paper calibrated against). Offerable machines live in a
+//!   [`pool::CandidateIndex`], an O(log W) tournament tree allocated
+//!   once per pool.
 //! * [`policy`] — the [`policy::PlacementPolicy`] trait with
 //!   [`policy::RandomPlacement`], [`policy::RoundRobinPlacement`], and
-//!   [`policy::LeastLoadedPlacement`].
+//!   [`policy::LeastLoadedPlacement`], each one query on the
+//!   candidate index.
 //! * [`eviction`] — owner-return handling: Restart, Suspend/Resume
 //!   (the paper's assumption), Migrate, and periodic Checkpoint.
 //! * [`gang`] — gang scheduling / co-allocation: all-or-nothing job
@@ -127,7 +130,7 @@ pub use feed::{JobFeed, SliceFeed, VecFeed};
 pub use gang::{GangPolicy, GangQueue, GangStats, PendingGang};
 pub use metrics::{JobRecord, SchedMetrics};
 pub use policy::{CandidateMachine, PlacementKind, PlacementPolicy};
-pub use pool::{Pool, UtilizationEstimator};
+pub use pool::{CandidateIndex, Pool, UtilizationEstimator};
 pub use queue::{JobQueue, JobSpec, PendingTask, QueueDiscipline};
 pub use simulator::SchedConfig;
 pub use trace::{

@@ -1,14 +1,18 @@
 //! Task-placement policies.
 //!
 //! When the central queue has work and the pool has available machines,
-//! a [`PlacementPolicy`] picks where the next task lands. The candidates
-//! carry the pool's probe-style load estimates (see
+//! a [`PlacementPolicy`] picks where the next task lands. It chooses
+//! from the pool's [`CandidateIndex`], which orders the offerable
+//! machines by index and by the pool's probe-style load estimates (see
 //! [`crate::pool::UtilizationEstimator`]), so policies can be load-aware
-//! without any global knowledge a real scheduler would lack.
+//! without any global knowledge a real scheduler would lack. Each
+//! built-in policy is one O(log W) query on the index.
 
+use crate::pool::CandidateIndex;
 use nds_stats::rng::Xoshiro256StarStar;
 
-/// One available machine as seen by a placement policy.
+/// One available machine with its load estimate, as listed by
+/// [`crate::pool::Pool::candidates`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateMachine {
     /// Machine index in the pool.
@@ -20,15 +24,20 @@ pub struct CandidateMachine {
 
 /// Chooses a machine for the next task.
 ///
-/// `choose` receives a non-empty candidate slice sorted by machine index
-/// and returns an index **into the slice**. Policies may keep state
-/// (e.g. a round-robin cursor) between calls.
+/// `choose` receives the pool's non-empty [`CandidateIndex`] and returns
+/// the **machine index** of one offerable machine. The index answers
+/// "how many" ([`CandidateIndex::len`]), "the k-th in machine order"
+/// ([`CandidateIndex::select`]), "how many below machine m"
+/// ([`CandidateIndex::rank`]) and "least loaded"
+/// ([`CandidateIndex::least_loaded`]) in O(log W) or better, so a policy
+/// built from those queries costs no more as the pool grows. Policies
+/// may keep state (e.g. a round-robin cursor) between calls.
 pub trait PlacementPolicy {
     /// Short stable name for tables and CLI flags.
     fn name(&self) -> &'static str;
 
-    /// Pick one of `candidates` (guaranteed non-empty).
-    fn choose(&mut self, candidates: &[CandidateMachine], rng: &mut Xoshiro256StarStar) -> usize;
+    /// Pick one machine from `candidates` (guaranteed non-empty).
+    fn choose(&mut self, candidates: &CandidateIndex, rng: &mut Xoshiro256StarStar) -> usize;
 }
 
 /// Uniformly random placement — the baseline a real scheduler must beat.
@@ -40,8 +49,8 @@ impl PlacementPolicy for RandomPlacement {
         "random"
     }
 
-    fn choose(&mut self, candidates: &[CandidateMachine], rng: &mut Xoshiro256StarStar) -> usize {
-        rng.next_bounded(candidates.len() as u64) as usize
+    fn choose(&mut self, candidates: &CandidateIndex, rng: &mut Xoshiro256StarStar) -> usize {
+        candidates.select(rng.next_bounded(candidates.len() as u64) as usize)
     }
 }
 
@@ -56,13 +65,11 @@ impl PlacementPolicy for RoundRobinPlacement {
         "round-robin"
     }
 
-    fn choose(&mut self, candidates: &[CandidateMachine], _rng: &mut Xoshiro256StarStar) -> usize {
+    fn choose(&mut self, candidates: &CandidateIndex, _rng: &mut Xoshiro256StarStar) -> usize {
         // First candidate at or after the cursor, wrapping to the front.
-        let pick = candidates
-            .iter()
-            .position(|c| c.machine >= self.next_machine)
-            .unwrap_or(0);
-        self.next_machine = candidates[pick].machine + 1;
+        let rank = candidates.rank(self.next_machine);
+        let pick = candidates.select(if rank < candidates.len() { rank } else { 0 });
+        self.next_machine = pick + 1;
         pick
     }
 }
@@ -77,14 +84,10 @@ impl PlacementPolicy for LeastLoadedPlacement {
         "least-loaded"
     }
 
-    fn choose(&mut self, candidates: &[CandidateMachine], _rng: &mut Xoshiro256StarStar) -> usize {
-        let mut best = 0;
-        for (i, c) in candidates.iter().enumerate().skip(1) {
-            if c.load_estimate < candidates[best].load_estimate {
-                best = i;
-            }
-        }
-        best
+    fn choose(&mut self, candidates: &CandidateIndex, _rng: &mut Xoshiro256StarStar) -> usize {
+        candidates
+            .least_loaded()
+            .expect("invariant: choose is only called on a non-empty index")
     }
 }
 
@@ -136,14 +139,12 @@ impl PlacementKind {
 mod tests {
     use super::*;
 
-    fn cands(specs: &[(usize, f64)]) -> Vec<CandidateMachine> {
-        specs
-            .iter()
-            .map(|&(machine, load_estimate)| CandidateMachine {
-                machine,
-                load_estimate,
-            })
-            .collect()
+    /// An index over machines `0..=max`, offering exactly `specs`.
+    fn cands(specs: &[(usize, f64)]) -> CandidateIndex {
+        let machines = specs.iter().map(|&(m, _)| m + 1).max().unwrap_or(1);
+        CandidateIndex::new(machines, |m| {
+            specs.iter().find(|&&(c, _)| c == m).map(|&(_, e)| e)
+        })
     }
 
     #[test]
@@ -153,8 +154,8 @@ mod tests {
         let c = cands(&[(0, 0.1), (3, 0.2), (7, 0.3)]);
         let mut seen = [false; 3];
         for _ in 0..200 {
-            let i = p.choose(&c, &mut rng);
-            assert!(i < c.len());
+            let m = p.choose(&c, &mut rng);
+            let i = [0, 3, 7].iter().position(|&x| x == m).expect("a candidate");
             seen[i] = true;
         }
         assert!(seen.iter().all(|&s| s), "all candidates eventually chosen");
@@ -165,7 +166,7 @@ mod tests {
         let mut p = RoundRobinPlacement::default();
         let mut rng = Xoshiro256StarStar::new(1);
         let c = cands(&[(0, 0.0), (2, 0.0), (5, 0.0)]);
-        let picks: Vec<usize> = (0..6).map(|_| c[p.choose(&c, &mut rng)].machine).collect();
+        let picks: Vec<usize> = (0..6).map(|_| p.choose(&c, &mut rng)).collect();
         assert_eq!(picks, vec![0, 2, 5, 0, 2, 5]);
     }
 
@@ -175,9 +176,9 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(1);
         // Machine 1 disappears between calls; cursor moves past it.
         let c1 = cands(&[(0, 0.0), (1, 0.0)]);
-        assert_eq!(c1[p.choose(&c1, &mut rng)].machine, 0);
+        assert_eq!(p.choose(&c1, &mut rng), 0);
         let c2 = cands(&[(3, 0.0), (9, 0.0)]);
-        assert_eq!(c2[p.choose(&c2, &mut rng)].machine, 3);
+        assert_eq!(p.choose(&c2, &mut rng), 3);
     }
 
     #[test]
@@ -186,7 +187,7 @@ mod tests {
         let mut rng = Xoshiro256StarStar::new(1);
         let c = cands(&[(0, 0.3), (1, 0.05), (2, 0.05), (3, 0.2)]);
         // Minimum is shared by machines 1 and 2; the earliest wins.
-        assert_eq!(c[p.choose(&c, &mut rng)].machine, 1);
+        assert_eq!(p.choose(&c, &mut rng), 1);
     }
 
     #[test]

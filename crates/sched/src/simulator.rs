@@ -92,10 +92,9 @@ use crate::feed::JobFeed;
 use crate::gang::{GangPolicy, GangQueue, GangStats, PendingGang};
 use crate::metrics::{JobRecord, SchedMetrics};
 use crate::policy::{
-    CandidateMachine, LeastLoadedPlacement, PlacementKind, PlacementPolicy, RandomPlacement,
-    RoundRobinPlacement,
+    LeastLoadedPlacement, PlacementKind, PlacementPolicy, RandomPlacement, RoundRobinPlacement,
 };
-use crate::pool::Pool;
+use crate::pool::{CandidateIndex, Pool};
 use crate::queue::{JobQueue, JobSpec, PendingTask, QueueDiscipline};
 use crate::trace::{
     EventClass, EvictionAction, ObsKind, SchedRecord, SchedTracer, SegmentKind, StateSample,
@@ -888,7 +887,7 @@ fn gather_sample(sim: &Sim, cal: &Calendar<SchedEvent>) -> StateSample {
     }
     StateSample {
         queue_depth: (sim.queue.len() + sim.gang_queue.len()) as u32,
-        free_machines: sim.pool.candidates().len() as u32,
+        free_machines: sim.pool.index().len() as u32,
         running_gangs,
         degraded_gangs,
         pending_events: cal.pending() as u32,
@@ -1162,7 +1161,7 @@ impl PlacementState {
     }
 
     #[inline]
-    fn choose(&mut self, candidates: &[CandidateMachine], rng: &mut Xoshiro256StarStar) -> usize {
+    fn choose(&mut self, candidates: &CandidateIndex, rng: &mut Xoshiro256StarStar) -> usize {
         match self {
             Self::Random(p) => p.choose(candidates, rng),
             Self::RoundRobin(p) => p.choose(candidates, rng),
@@ -1466,7 +1465,7 @@ fn dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, trace
         if sim.done || sim.queue.is_empty() {
             return;
         }
-        if sim.pool.candidates().is_empty() {
+        if sim.pool.index().is_empty() {
             return;
         }
         let now = cal.now().as_f64();
@@ -1474,10 +1473,9 @@ fn dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, trace
             .queue
             .pop(sim.discipline)
             .expect("invariant: queue was checked non-empty just above");
-        let chosen = sim
+        let m = sim
             .placement
-            .choose(sim.pool.candidates(), &mut sim.placement_rng);
-        let m = sim.pool.candidates()[chosen].machine;
+            .choose(sim.pool.index(), &mut sim.placement_rng);
         sim.acc.placements += 1;
         sim.acc.total_wait += now - pending.enqueued_at;
         sim.pool.set_occupied(now, m, true);
@@ -2188,7 +2186,7 @@ fn frag_update(sim: &mut Sim, now: f64) {
     }
     sim.frag_t = now;
     sim.frag_waiting = !sim.gang_queue.is_empty();
-    sim.frag_free = sim.pool.candidates().len();
+    sim.frag_free = sim.pool.index().len();
 }
 
 /// Owner reclaim on machine `m` under a gang policy. The reclaimed
@@ -2391,7 +2389,7 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
             frag_update(sim, now);
             return;
         }
-        let no_candidates = sim.pool.candidates().is_empty();
+        let no_candidates = sim.pool.index().is_empty();
         let grower = if sim.gang_policy.is_partial() && !no_candidates {
             sim.growers.first().copied()
         } else {
@@ -2411,10 +2409,9 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
                 sim.gacc.barrier_stall += (now - last_t) * f64::from(k - busy);
                 gang.phase = GangPhase::Suspended { last_t: now };
             }
-            let chosen = sim
+            let m = sim
                 .placement
-                .choose(sim.pool.candidates(), &mut sim.placement_rng);
-            let m = sim.pool.candidates()[chosen].machine;
+                .choose(sim.pool.index(), &mut sim.placement_rng);
             sim.pool.set_occupied(now, m, true);
             sim.machine_gang[m] = Some(g);
             sim.acc.placements += 1;
@@ -2447,7 +2444,7 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
                 frag_update(sim, now);
                 return;
             }
-            let free = sim.pool.candidates().len();
+            let free = sim.pool.index().len();
             let Some(pending) = sim.gang_queue.pop_fitting(sim.discipline, free) else {
                 frag_update(sim, now);
                 return;
@@ -2456,10 +2453,9 @@ fn gang_dispatch<T: SchedTracer>(sim: &mut Sim, cal: &mut Calendar<SchedEvent>, 
             let n = (pending.tasks as usize).min(free);
             let mut members = Vec::with_capacity(n);
             for _ in 0..n {
-                let chosen = sim
+                let m = sim
                     .placement
-                    .choose(sim.pool.candidates(), &mut sim.placement_rng);
-                let m = sim.pool.candidates()[chosen].machine;
+                    .choose(sim.pool.index(), &mut sim.placement_rng);
                 sim.pool.set_occupied(now, m, true);
                 sim.machine_gang[m] = Some(j);
                 members.push(m);

@@ -112,9 +112,25 @@ fn print_usage() {
     );
 }
 
-/// Pull a numeric `--name value` from an argument list.
+/// Pull a numeric `--name value` from an argument list: `None` when the
+/// flag is absent. A flag that is present without a finite number after
+/// it is a flag-parse error, so it fails closed: the message names the
+/// flag and the process exits 2 instead of running the defaults.
 fn flag(args: &[String], name: &str) -> Option<f64> {
-    string_flag(args, name).and_then(|v| v.parse().ok())
+    if !has_flag(args, name) {
+        return None;
+    }
+    let value = string_flag(args, name);
+    match value.and_then(|v| v.parse::<f64>().ok()) {
+        Some(v) if v.is_finite() => Some(v),
+        _ => {
+            eprintln!(
+                "{name} expects a finite number, got {}",
+                value.unwrap_or("nothing")
+            );
+            std::process::exit(2);
+        }
+    }
 }
 
 fn has_flag(args: &[String], name: &str) -> bool {
@@ -122,7 +138,7 @@ fn has_flag(args: &[String], name: &str) -> bool {
 }
 
 fn require(args: &[String], name: &str) -> Result<f64, String> {
-    flag(args, name).ok_or_else(|| format!("missing or invalid {name} <value>"))
+    flag(args, name).ok_or_else(|| format!("missing {name} <value>"))
 }
 
 fn cmd_analyze(args: &[String]) -> i32 {

@@ -199,16 +199,23 @@ proptest! {
     /// monotone non-decreasing in time, bounded by the pool's total
     /// machine-time, and exactly equal to an independently tracked
     /// shadow integral — while down machines never leak back into the
-    /// candidate index before repair.
+    /// candidate index before repair, and the index counts exactly the
+    /// free, admitted, not-down machines at every step.
     #[test]
     fn downtime_integral_is_monotone_and_exact_under_interleaving(
         w in 1u8..6,
+        threshold in 0.0f64..1.2,
         ops in proptest::collection::vec((0.0f64..5.0, 0u8..8, 0u8..6), 1..80),
     ) {
         let w = w as usize;
-        let mut p = Pool::new(w, 1.0, 100.0, &[]);
+        // A short estimator window moves estimates across the admission
+        // threshold as owners come and go; a threshold of 1.0 or more
+        // admits every free machine.
+        let mut p = Pool::new(w, threshold, 5.0, &[]);
         let mut t = 0.0;
         let mut down = vec![false; w];
+        let mut busy = vec![false; w];
+        let mut occupied = vec![false; w];
         let mut shadow = 0.0;
         let mut prev = 0.0;
         for (dt, m, op) in ops {
@@ -216,10 +223,14 @@ proptest! {
             shadow += dt * down.iter().filter(|&&d| d).count() as f64;
             t += dt;
             match op {
-                0 => p.owner_transition(t, m, true),
-                1 => p.owner_transition(t, m, false),
-                2 => p.set_occupied(t, m, true),
-                3 => p.set_occupied(t, m, false),
+                0 | 1 => {
+                    p.owner_transition(t, m, op == 0);
+                    busy[m] = op == 0;
+                }
+                2 | 3 => {
+                    p.set_occupied(t, m, op == 2);
+                    occupied[m] = op == 2;
+                }
                 4 => {
                     p.set_down(t, m, true);
                     down[m] = true;
@@ -248,6 +259,12 @@ proptest! {
             for c in p.candidates() {
                 prop_assert!(!down[c.machine], "down machine {} offered", c.machine);
             }
+            let offerable = (0..w)
+                .filter(|&i| !busy[i] && !occupied[i] && !down[i])
+                .filter(|&i| p.load_estimate(i) <= threshold)
+                .count();
+            prop_assert_eq!(p.index().len(), offerable);
+            prop_assert_eq!(p.candidates().count(), offerable);
             prev = d;
         }
     }
