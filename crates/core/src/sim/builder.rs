@@ -369,7 +369,7 @@ impl Sim {
             Backend::Cluster => Ok(self.run_cluster(&jobs, replication)),
             Backend::Auto if degenerate => Ok(self.run_cluster(&jobs, replication)),
             Backend::Auto | Backend::Sched => {
-                let cfg = self.lower(replication)?;
+                let cfg = self.lower_with_jobs(jobs, replication);
                 if let Some(every) = self.progress_every {
                     // The meter is ENABLED, so the engine takes the
                     // traced path — metrics stay bit-identical to the
@@ -931,6 +931,52 @@ mod tests {
 
     fn owner(u: f64) -> OwnerWorkload {
         OwnerWorkload::continuous_exponential(10.0, u).unwrap()
+    }
+
+    /// A closed workload that counts its `generate` calls.
+    #[derive(Debug)]
+    struct CountingWorkload {
+        jobs: Vec<JobSpec>,
+        calls: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl Workload for CountingWorkload {
+        fn generate(&self, _seed: u64, _replication: u64) -> Result<Vec<JobSpec>, SimError> {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(self.jobs.clone())
+        }
+
+        fn label(&self) -> String {
+            "counting".into()
+        }
+
+        fn validate(&self) -> Result<(), SimError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn materialized_runs_generate_each_replication_once() {
+        for backend in [Backend::Auto, Backend::Sched] {
+            let calls = std::sync::Arc::default();
+            let report = Sim::pool(4)
+                .owners(owner(0.10))
+                .workload(CountingWorkload {
+                    jobs: vec![JobSpec::at_zero(2, 30.0), JobSpec::at_zero(3, 20.0)],
+                    calls: std::sync::Arc::clone(&calls),
+                })
+                .replications(3)
+                .backend(backend)
+                .run()
+                .unwrap();
+            assert_eq!(report.runs.len(), 3);
+            assert_eq!(
+                calls.load(std::sync::atomic::Ordering::Relaxed),
+                3,
+                "{backend:?}: one generate call per replication"
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,6 @@
 
 use crate::error::DesError;
 use crate::time::SimTime;
-use crate::trace::{NoTrace, Tracer};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -103,13 +102,6 @@ fn key_time(key: u128) -> SimTime {
 
 /// A typed event calendar + simulation clock.
 ///
-/// The second type parameter is a [`Tracer`] observing the event flow;
-/// it defaults to the zero-sized [`NoTrace`], whose `ENABLED = false`
-/// makes every hook site statically dead — a `Calendar<E>` is
-/// bit-for-bit the pre-tracing calendar. Pass a real tracer via
-/// [`Calendar::with_tracer`] to observe schedules/pops/cancels without
-/// touching the engine code (see [`crate::CalendarProbe`]).
-///
 /// # Example
 ///
 /// ```
@@ -129,7 +121,7 @@ fn key_time(key: u128) -> SimTime {
 /// assert_eq!(cal.now().as_f64(), 2.0);
 /// ```
 #[derive(Debug)]
-pub struct Calendar<E, T = NoTrace> {
+pub struct Calendar<E> {
     clock: SimTime,
     next_seq: u64,
     heap: BinaryHeap<Entry<E>>,
@@ -153,21 +145,14 @@ pub struct Calendar<E, T = NoTrace> {
     /// Scheduled-but-not-yet-fired-or-cancelled events.
     live: usize,
     executed: u64,
-    /// The observing [`Tracer`] — zero-sized and statically ignored
-    /// for the default [`NoTrace`].
-    tracer: T,
 }
 
-impl<E, T: Tracer<E> + Default> Default for Calendar<E, T> {
+impl<E> Default for Calendar<E> {
     fn default() -> Self {
-        Self::with_tracer(0, T::default())
+        Self::new()
     }
 }
 
-// `new`/`with_capacity` are defined only for the `NoTrace` calendar so
-// plain `Calendar::new()` expressions keep inferring the default
-// tracer (type-parameter defaults do not participate in expression
-// inference); traced calendars come from `with_tracer`.
 impl<E> Calendar<E> {
     /// A fresh calendar at time zero.
     pub fn new() -> Self {
@@ -177,13 +162,6 @@ impl<E> Calendar<E> {
     /// A fresh calendar with room for `capacity` simultaneous events
     /// before any allocation.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_tracer(capacity, NoTrace)
-    }
-}
-
-impl<E, T: Tracer<E>> Calendar<E, T> {
-    /// A fresh calendar observed by `tracer`.
-    pub fn with_tracer(capacity: usize, tracer: T) -> Self {
         Self {
             clock: SimTime::ZERO,
             next_seq: 0,
@@ -194,24 +172,7 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
             backlog_head: u128::MAX,
             live: 0,
             executed: 0,
-            tracer,
         }
-    }
-
-    /// The observing tracer.
-    pub fn tracer(&self) -> &T {
-        &self.tracer
-    }
-
-    /// The observing tracer, mutably (to drain buffered observations
-    /// mid-run).
-    pub fn tracer_mut(&mut self) -> &mut T {
-        &mut self.tracer
-    }
-
-    /// Consume the calendar and hand back its tracer.
-    pub fn into_tracer(self) -> T {
-        self.tracer
     }
 
     /// The current simulation time.
@@ -257,9 +218,6 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live += 1;
-        if T::ENABLED {
-            self.tracer.on_schedule(at, &event);
-        }
         self.heap.push(Entry {
             key: pack_key(at, seq),
             payload: event,
@@ -312,9 +270,6 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.live += 1;
-            if T::ENABLED {
-                self.tracer.on_schedule(at, &event);
-            }
             let key = pack_key(at, seq);
             if self.backlog.is_empty() {
                 self.backlog_head = key;
@@ -349,9 +304,6 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live += 1;
-        if T::ENABLED {
-            self.tracer.on_schedule(at, &event);
-        }
         self.heap.push(Entry {
             key: pack_key(at, seq),
             payload: event,
@@ -379,9 +331,6 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
                 *gen = gen.wrapping_add(1);
                 self.free.push(handle.slot);
                 self.live -= 1;
-                if T::ENABLED {
-                    self.tracer.on_cancel(self.clock);
-                }
                 true
             }
             _ => false,
@@ -430,9 +379,6 @@ impl<E, T: Tracer<E>> Calendar<E, T> {
         debug_assert!(time >= self.clock, "time went backwards");
         self.clock = time;
         self.executed += 1;
-        if T::ENABLED {
-            self.tracer.on_pop(time, &event);
-        }
         Some((time, event))
     }
 }

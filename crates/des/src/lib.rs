@@ -24,10 +24,9 @@
 //! * [`registry::MetricsRegistry`] — named counters/gauges with
 //!   periodic snapshotting, the exportable generalization of a bag of
 //!   monitors,
-//! * [`trace`] — the zero-cost [`trace::Tracer`] hook trait threaded
-//!   through [`calendar::Calendar`] (disabled by default via the
-//!   zero-sized [`trace::NoTrace`], which monomorphizes the hooks
-//!   away), plus the [`trace::TraceLog`] debugging ring buffer.
+//! * [`trace::NoTrace`] — the zero-sized "tracing off" marker that
+//!   engine-level tracer traits (`nds-sched`'s `SchedTracer`)
+//!   implement with their hooks compiled away.
 //!
 //! Unlike CSIM the engine is event-driven rather than process-oriented
 //! (no coroutines), which keeps it deterministic, allocation-light, and
@@ -55,4 +54,4 @@ pub use monitor::Monitor;
 pub use registry::{MetricsRegistry, QuantileSketch, SeriesId, SeriesKind};
 pub use resource::MultiFacility;
 pub use time::SimTime;
-pub use trace::{CalendarProbe, NoTrace, TraceEvent, TraceLog, Tracer};
+pub use trace::NoTrace;

@@ -1,311 +1,31 @@
-//! Event tracing: the zero-cost [`Tracer`] hook trait wired through
-//! [`crate::Calendar`], plus the legacy [`TraceLog`] ring buffer.
+//! The zero-sized [`NoTrace`] marker: "tracing off" for the typed
+//! tracer traits that engines define over the event core.
 //!
-//! # The `Tracer` trait
-//!
-//! [`Calendar<E, T>`](crate::Calendar) carries a tracer as a *generic
-//! parameter* defaulting to the zero-sized [`NoTrace`]. Every hook call
-//! inside the calendar is guarded by `if T::ENABLED`, a constant the
-//! optimizer resolves per monomorphization — with `NoTrace` the guard
-//! is `if false` and the disabled path compiles to exactly the code
-//! that existed before tracing was added (no branch, no call, no extra
-//! field reads). Enabling tracing is purely a type-level opt-in:
+//! An engine generic over its tracer guards every hook site with a
+//! per-type `ENABLED` constant; `NoTrace` sets it `false`, so the
+//! optimizer deletes the hooks and the untraced engine is exactly the
+//! code it would be without tracing. `nds-sched`'s `SchedTracer` is
+//! implemented for it, which makes its flight recorder a purely
+//! type-level opt-in.
 //!
 //! ```
-//! use nds_des::{Calendar, CalendarProbe, SimTime};
+//! use nds_des::NoTrace;
 //!
-//! let mut cal: Calendar<u32, CalendarProbe> = Calendar::with_tracer(0, CalendarProbe::default());
-//! cal.schedule(SimTime::new(1.0), 7).unwrap();
-//! let h = cal.schedule(SimTime::new(2.0), 8).unwrap();
-//! cal.cancel(h);
-//! cal.pop().unwrap();
-//! let probe = cal.tracer();
-//! assert_eq!((probe.schedules(), probe.pops(), probe.cancels()), (2, 1, 1));
-//! assert_eq!(probe.high_water(), 2);
+//! assert_eq!(std::mem::size_of::<NoTrace>(), 0);
 //! ```
-//!
-//! Higher layers define richer tracers on the same pattern (see
-//! `nds-sched`'s `SchedTracer` / flight recorder); this module only
-//! owns the calendar-level vocabulary.
 
-use crate::time::SimTime;
-use std::collections::VecDeque;
-use std::fmt;
-
-/// Observer of a [`crate::Calendar`]'s event flow.
-///
-/// All hooks default to no-ops, so a tracer implements only what it
-/// cares about. `ENABLED` defaults to `true`; the one implementation
-/// that sets it `false` is [`NoTrace`], which turns every hook site
+/// The zero-sized "tracing off" tracer. Engines implement their tracer
+/// trait for it with `ENABLED = false`, which turns every hook site
 /// into statically dead code.
-pub trait Tracer<E> {
-    /// Whether the calendar should invoke the hooks at all. Checked as
-    /// `if T::ENABLED` on every hot-path call site, so a `false` here
-    /// removes the tracing code at monomorphization time.
-    const ENABLED: bool = true;
-
-    /// An event was scheduled (or posted / backlogged) for time `at`.
-    #[inline]
-    fn on_schedule(&mut self, at: SimTime, event: &E) {
-        let _ = (at, event);
-    }
-
-    /// An event is about to be delivered at time `at`.
-    #[inline]
-    fn on_pop(&mut self, at: SimTime, event: &E) {
-        let _ = (at, event);
-    }
-
-    /// A pending event was cancelled at clock time `now`.
-    #[inline]
-    fn on_cancel(&mut self, now: SimTime) {
-        let _ = now;
-    }
-}
-
-/// The zero-sized "tracing off" tracer: `ENABLED = false` makes every
-/// hook site in [`crate::Calendar`] statically dead, so
-/// `Calendar<E, NoTrace>` (the default) monomorphizes to exactly the
-/// pre-tracing calendar. This is the type parameter's default, so
-/// existing code compiles — and runs — unchanged.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NoTrace;
-
-impl<E> Tracer<E> for NoTrace {
-    const ENABLED: bool = false;
-}
-
-/// A counting tracer: schedules, pops, cancels, and the concurrent
-/// live-event high-water mark. Event-type agnostic — useful to size
-/// calendars ([`crate::Calendar::with_capacity`]) and to sanity-check
-/// engines (`schedules == pops + cancels` once a run drains).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CalendarProbe {
-    schedules: u64,
-    pops: u64,
-    cancels: u64,
-    high_water: u64,
-}
-
-impl CalendarProbe {
-    /// Events scheduled (all lanes: `schedule`, `post`,
-    /// `schedule_sorted`).
-    pub fn schedules(&self) -> u64 {
-        self.schedules
-    }
-
-    /// Events delivered.
-    pub fn pops(&self) -> u64 {
-        self.pops
-    }
-
-    /// Events cancelled before firing.
-    pub fn cancels(&self) -> u64 {
-        self.cancels
-    }
-
-    /// Maximum number of simultaneously pending events observed.
-    pub fn high_water(&self) -> u64 {
-        self.high_water
-    }
-
-    /// Events scheduled but neither delivered nor cancelled yet.
-    pub fn outstanding(&self) -> u64 {
-        self.schedules - self.pops - self.cancels
-    }
-}
-
-impl<E> Tracer<E> for CalendarProbe {
-    #[inline]
-    fn on_schedule(&mut self, _at: SimTime, _event: &E) {
-        self.schedules += 1;
-        self.high_water = self.high_water.max(self.outstanding());
-    }
-
-    #[inline]
-    fn on_pop(&mut self, _at: SimTime, _event: &E) {
-        self.pops += 1;
-    }
-
-    #[inline]
-    fn on_cancel(&mut self, _now: SimTime) {
-        self.cancels += 1;
-    }
-}
-
-/// One traced occurrence inside a simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// When it happened.
-    pub time: SimTime,
-    /// Component that emitted it (e.g. `"ws-3"`).
-    pub source: String,
-    /// What happened (e.g. `"owner preempts task"`).
-    pub message: String,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:>12}] {}: {}", self.time, self.source, self.message)
-    }
-}
-
-/// A bounded ring buffer of trace events — the free-form, string-y
-/// debugging log (the structured, typed path is the [`Tracer`] trait).
-/// Disabled logs (capacity 0) cost one branch per emit.
-#[derive(Debug, Clone)]
-pub struct TraceLog {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    emitted: u64,
-}
-
-impl TraceLog {
-    /// A log retaining the most recent `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            events: VecDeque::with_capacity(capacity.min(1024)),
-            emitted: 0,
-        }
-    }
-
-    /// A log that records nothing (but still counts emissions).
-    pub fn disabled() -> Self {
-        Self::new(0)
-    }
-
-    /// Whether events are being retained.
-    pub fn is_enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// Emit an event.
-    pub fn emit(&mut self, time: SimTime, source: impl Into<String>, message: impl Into<String>) {
-        self.emitted += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(TraceEvent {
-            time,
-            source: source.into(),
-            message: message.into(),
-        });
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Total events ever emitted (including dropped ones).
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Render the retained events as lines.
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_string());
-            out.push('\n');
-        }
-        out
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calendar::Calendar;
-
-    fn t(v: f64) -> SimTime {
-        SimTime::new(v)
-    }
-
-    #[test]
-    fn retains_in_order() {
-        let mut tr = TraceLog::new(10);
-        tr.emit(t(1.0), "a", "one");
-        tr.emit(t(2.0), "b", "two");
-        let msgs: Vec<_> = tr.events().map(|e| e.message.clone()).collect();
-        assert_eq!(msgs, vec!["one", "two"]);
-        assert_eq!(tr.len(), 2);
-        assert!(!tr.is_empty());
-    }
-
-    #[test]
-    fn ring_buffer_drops_oldest() {
-        let mut tr = TraceLog::new(3);
-        for i in 0..5 {
-            tr.emit(t(i as f64), "s", format!("m{i}"));
-        }
-        let msgs: Vec<_> = tr.events().map(|e| e.message.clone()).collect();
-        assert_eq!(msgs, vec!["m2", "m3", "m4"]);
-        assert_eq!(tr.emitted(), 5);
-    }
-
-    #[test]
-    fn disabled_log_counts_only() {
-        let mut tr = TraceLog::disabled();
-        assert!(!tr.is_enabled());
-        tr.emit(t(0.0), "s", "m");
-        assert_eq!(tr.emitted(), 1);
-        assert!(tr.is_empty());
-    }
-
-    #[test]
-    fn dump_formats_lines() {
-        let mut tr = TraceLog::new(4);
-        tr.emit(t(1.5), "ws-0", "owner preempts task");
-        let dump = tr.dump();
-        assert!(dump.contains("ws-0"));
-        assert!(dump.contains("owner preempts task"));
-        assert!(dump.contains("1.5"));
-    }
 
     #[test]
     fn no_trace_is_zero_sized_and_disabled() {
         assert_eq!(std::mem::size_of::<NoTrace>(), 0);
-        const { assert!(!<NoTrace as Tracer<u32>>::ENABLED) };
-        const { assert!(<CalendarProbe as Tracer<u32>>::ENABLED) };
-        // A NoTrace calendar is the same size as the tracer-less one
-        // was: the field is zero-sized.
-        assert_eq!(
-            std::mem::size_of::<Calendar<u32>>(),
-            std::mem::size_of::<Calendar<u32, NoTrace>>()
-        );
-    }
-
-    #[test]
-    fn probe_counts_all_lanes() {
-        let mut cal: Calendar<u32, CalendarProbe> =
-            Calendar::with_tracer(4, CalendarProbe::default());
-        cal.schedule(t(1.0), 1).unwrap();
-        cal.post(t(2.0), 2).unwrap();
-        cal.schedule_sorted([(t(5.0), 3), (t(6.0), 4)]).unwrap();
-        let h = cal.schedule(t(3.0), 5).unwrap();
-        assert_eq!(cal.tracer().schedules(), 5);
-        assert_eq!(cal.tracer().high_water(), 5);
-        assert!(cal.cancel(h));
-        assert_eq!(cal.tracer().cancels(), 1);
-        while cal.pop().is_some() {}
-        let probe = cal.into_tracer();
-        assert_eq!(probe.pops(), 4);
-        assert_eq!(probe.outstanding(), 0);
-        assert_eq!(probe.high_water(), 5, "high water survives the drain");
     }
 }

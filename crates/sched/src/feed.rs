@@ -1,19 +1,23 @@
 //! Streaming job feeds: bounded-memory workload generation.
 //!
-//! [`SchedConfig::run_streamed`](crate::SchedConfig::run_streamed)
-//! consumes jobs from a [`JobFeed`] in bounded chunks instead of a
-//! fully materialized `Vec<JobSpec>`. Each chunk enters the calendar's
-//! pre-sorted arrival backlog ([`nds_des::Calendar::schedule_sorted`])
-//! when the previous chunk's last arrival fires, so peak memory tracks
-//! the chunk size and the live job window — not the experiment length.
-//! A million-job trace streams through a few thousand resident specs.
+//! The scheduler has one engine loop with two job intakes. A table run
+//! ([`SchedConfig::run`](crate::SchedConfig::run) and friends) admits
+//! the config's whole `Vec<JobSpec>` up front. A streamed run
+//! ([`SchedConfig::run_streamed`](crate::SchedConfig::run_streamed))
+//! pulls jobs from a [`JobFeed`] in bounded chunks instead. Each chunk
+//! enters the calendar's pre-sorted arrival backlog
+//! ([`nds_des::Calendar::schedule_sorted`]) when the previous chunk's
+//! last arrival fires. Either way, completed jobs retire from the live
+//! job table in submission order, so a streamed run's peak memory
+//! tracks the chunk size and the live job window, not the experiment
+//! length. A million-job trace streams through a few thousand
+//! resident specs.
 //!
-//! The materialized path stays the degenerate case: [`VecFeed`] and
-//! [`SliceFeed`] wrap an in-memory job list, and a streamed run over
-//! them replays the classic [`SchedConfig::run`](crate::SchedConfig)
-//! event-for-event (same per-event RNG draws, same sequence numbering
-//! of arrivals *within* the live window), which is what the workspace's
-//! streaming byte-identity tests pin.
+//! [`VecFeed`] and [`SliceFeed`] wrap an in-memory job list. A
+//! streamed run over them replays the table run event-for-event (same
+//! per-event RNG draws, same sequence numbering of arrivals *within*
+//! the live window), which is what the workspace's streaming
+//! byte-identity tests pin.
 //!
 //! # Contract
 //!

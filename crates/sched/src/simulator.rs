@@ -32,8 +32,8 @@
 //!   high-water mark;
 //! * cancelling a segment end is a generation bump on its
 //!   [`nds_des::EventHandle`] — no hash probes;
-//! * [`Pool::candidates`] is a slice view of an incrementally
-//!   maintained index — no per-dispatch `Vec`;
+//! * placement queries [`Pool::index`], an incrementally maintained
+//!   tournament tree — no per-dispatch `Vec`;
 //! * the partial-gang grower search and the co-scheduling invariant
 //!   check are incremental (a sorted under-placed-gang set, and a
 //!   touched-gang check backed by a full-scan `debug_assert!`),
@@ -73,6 +73,16 @@
 //! `SuspendAll` bit-for-bit — same floats, same event times. The
 //! conservation law `∫ rate·dt == demand` is pinned by
 //! `tests/rate_invariants.rs` via [`GangStats::parallelism_integral`].
+//!
+//! # One loop, two intakes
+//!
+//! Every entry point runs the same private engine loop, generic over
+//! the [`SchedTracer`]. Only the job intake differs: table runs
+//! ([`SchedConfig::run`] and friends) admit `SchedConfig::jobs` up
+//! front, streamed runs ([`SchedConfig::run_streamed`]) pull a
+//! [`JobFeed`] chunk by chunk. Completed jobs retire through one sink
+//! in submission order; a table run collects them into
+//! [`SchedMetrics::jobs`].
 //!
 //! # Reproducibility
 //!
@@ -315,10 +325,68 @@ impl SchedConfig {
         self.run_validated(self.replication, tracer)
     }
 
-    /// One replication on an already-validated config.
+    /// One replication on an already-validated config, over the
+    /// config's own job table; the retired records become
+    /// `metrics.jobs`.
     fn run_validated<T: SchedTracer>(
         &self,
         replication: u64,
+        tracer: &mut T,
+    ) -> Result<(SchedMetrics, u64), SchedError> {
+        let mut records = Vec::with_capacity(self.jobs.len());
+        let (mut metrics, events) = self.run_engine(
+            replication,
+            Intake::Table,
+            &mut |_, record| records.push(record),
+            tracer,
+        )?;
+        metrics.jobs = records;
+        Ok((metrics, events))
+    }
+
+    /// Run one replication with jobs pulled from a [`JobFeed`] in
+    /// chunks of at most `chunk`, instead of from `self.jobs` (which
+    /// this path ignores). Completed jobs leave the engine through
+    /// `on_job` — called with each job's absolute submission index and
+    /// final [`JobRecord`], in submission order — so the returned
+    /// [`SchedMetrics`] carries an empty `jobs` list and peak memory
+    /// is bounded by the chunk size plus the live job window, not the
+    /// trace length.
+    ///
+    /// This is the same engine loop as [`SchedConfig::run`]; only the
+    /// intake differs (a feed instead of the job table). Arrivals must
+    /// be globally non-decreasing across the whole feed; a violation
+    /// surfaces as a typed [`SchedError::InvalidConfig`] naming the
+    /// offending job index. Gang scheduling is rejected up front (see
+    /// [`SchedConfig::validate_streamed`]). Over the same job list,
+    /// this replays [`SchedConfig::run_counted`]'s event sequence
+    /// exactly — same RNG draws, same metrics — which the workspace's
+    /// streaming byte-identity tests pin.
+    pub fn run_streamed(
+        &self,
+        feed: &mut dyn JobFeed,
+        chunk: usize,
+        on_job: &mut dyn FnMut(usize, JobRecord),
+    ) -> Result<(SchedMetrics, u64), SchedError> {
+        self.validate_streamed(chunk)?;
+        self.run_engine(
+            self.replication,
+            Intake::Feed { feed, chunk },
+            on_job,
+            &mut NoTrace,
+        )
+    }
+
+    /// The engine: one replication on an already-validated config.
+    /// Jobs enter through `intake`; each completed job leaves through
+    /// `on_job` (absolute submission index and final record, in
+    /// submission order), so the returned metrics carry an empty
+    /// `jobs` list.
+    fn run_engine<T: SchedTracer>(
+        &self,
+        replication: u64,
+        intake: Intake<'_>,
+        on_job: &mut dyn FnMut(usize, JobRecord),
         tracer: &mut T,
     ) -> Result<(SchedMetrics, u64), SchedError> {
         let factory = StreamFactory::new(self.seed);
@@ -353,11 +421,8 @@ impl SchedConfig {
             })
             .collect();
 
-        let jobs: Vec<JobState> = self.jobs.iter().map(JobState::of_spec).collect();
-        let jobs_remaining = jobs.len();
-        let jobs = JobTable::from_states(jobs);
-        let failure_rngs = failure_streams(&factory, self.failures.is_some(), w, replication);
-
+        // Streamed runs reject gangs up front, so only a table run
+        // ever builds gang state.
         let gangs: Vec<GangState> = if self.gang.is_on() {
             self.jobs
                 .iter()
@@ -376,6 +441,10 @@ impl SchedConfig {
         } else {
             Vec::new() // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
         };
+        let resident = match intake {
+            Intake::Table => self.jobs.len(),
+            Intake::Feed { chunk, .. } => chunk,
+        };
 
         let mut sim = Sim {
             machines,
@@ -386,9 +455,11 @@ impl SchedConfig {
                 &initial_estimates,
             ),
             queue: JobQueue::new(),
-            specs: SpecSource::All(&self.jobs),
-            jobs,
-            jobs_remaining,
+            jobs: JobTable {
+                base: 0,
+                states: VecDeque::with_capacity(resident),
+            },
+            jobs_remaining: 0,
             placement: PlacementState::new(self.placement),
             placement_rng: factory.labeled_stream("sched-placement", replication),
             eviction: self.eviction,
@@ -404,7 +475,7 @@ impl SchedConfig {
             discipline: self.discipline,
             acc: Acc::default(),
             failures: self.failures,
-            failure_rngs,
+            failure_rngs: failure_streams(&factory, self.failures.is_some(), w, replication),
             crashes_by_machine: vec![0; if self.failures.is_some() { w } else { 0 }],
             makespan: 0.0,
             done: false,
@@ -421,33 +492,20 @@ impl SchedConfig {
             .expect("invariant: think time is non-negative");
         }
         seed_failures(&mut sim, &mut cal);
-        // Job arrivals are known up front. When they come time-sorted
-        // (streams, Poisson workloads — the common case) they take the
-        // calendar's pre-sorted backlog, which keeps the heap at the
-        // live-event horizon instead of the whole experiment; sequence
-        // numbers are allocated identically on both paths, so the
-        // event order is the same either way.
-        let arrivals_sorted = self
-            .jobs
-            .windows(2)
-            .all(|pair| pair[0].arrival <= pair[1].arrival);
-        if arrivals_sorted {
-            cal.schedule_sorted(self.jobs.iter().enumerate().map(|(j, spec)| {
-                (
-                    SimTime::new(spec.arrival),
-                    SchedEvent::JobArrival { j: j as u32 },
-                )
-            }))
-            .expect("invariant: arrivals are sorted and non-negative");
-        } else {
-            for (j, spec) in self.jobs.iter().enumerate() {
-                cal.post(
-                    SimTime::new(spec.arrival),
-                    SchedEvent::JobArrival { j: j as u32 },
-                )
-                .expect("invariant: arrival is non-negative");
+        let mut feeder = match intake {
+            Intake::Table => ChunkFeeder::from_table(&self.jobs, &mut sim, &mut cal),
+            Intake::Feed { feed, chunk } => {
+                let mut feeder = ChunkFeeder::new(feed, chunk);
+                feeder.pull(&mut sim, &mut cal)?;
+                if feeder.scheduled == 0 {
+                    return Err(SchedError::InvalidConfig {
+                        field: "feed",
+                        reason: "need at least one job".into(),
+                    });
+                }
+                feeder
             }
-        }
+        };
 
         while cal.executed() < self.max_events {
             let Some((t, event)) = cal.pop() else { break };
@@ -470,10 +528,22 @@ impl SchedConfig {
                     owner_departure(&mut sim, &mut cal, now, m as usize, tracer)
                 }
                 SchedEvent::JobArrival { j } => {
-                    job_arrival(&mut sim, &mut cal, now, j as usize, tracer)
+                    job_arrival(&mut sim, &mut cal, now, j as usize, tracer);
+                    // The window's last scheduled arrival just fired:
+                    // pull the next chunk *now*, while the calendar's
+                    // backlog floor is this arrival's timestamp, so the
+                    // feed's later arrivals always schedule cleanly.
+                    // `jobs_remaining >= 1` here (a job cannot complete
+                    // inside its own arrival event — completions happen
+                    // in segment-end events), so the run cannot drain
+                    // to `done` with feed jobs still unread.
+                    if j as usize + 1 == feeder.scheduled {
+                        feeder.pull(&mut sim, &mut cal)?;
+                    }
                 }
                 SchedEvent::SegmentEnd { m } => {
-                    segment_end(&mut sim, &mut cal, now, m as usize, tracer)
+                    segment_end(&mut sim, &mut cal, now, m as usize, tracer);
+                    sim.jobs.retire_completed(on_job);
                 }
                 SchedEvent::GangSegmentEnd { j } => {
                     gang_segment_end(&mut sim, &mut cal, now, j as usize, tracer)
@@ -511,204 +581,8 @@ impl SchedConfig {
                 jobs_unfinished: sim.jobs_remaining,
             });
         }
-        let makespan = sim.makespan;
-        let mean_available_machines = sim.pool.mean_available(makespan);
-        let downtime = sim.pool.downtime(makespan);
-        let acc = sim.acc;
-        let gacc = sim.gacc;
-        let metrics = SchedMetrics {
-            makespan,
-            delivered: acc.delivered,
-            goodput: acc.goodput,
-            wasted: acc.wasted,
-            checkpoint_overhead: acc.ckpt,
-            evictions: acc.evictions,
-            suspensions: acc.suspensions,
-            restarts: acc.restarts,
-            migrations: acc.migrations,
-            completed_tasks: acc.completed_tasks,
-            total_demand: self.jobs.iter().map(JobSpec::total_demand).sum(),
-            placements: acc.placements,
-            mean_queue_wait: if acc.placements == 0 {
-                0.0
-            } else {
-                acc.total_wait / acc.placements as f64
-            },
-            mean_available_machines,
-            gang: gacc,
-            jobs: sim.jobs.records(),
-            crashes: acc.crashes,
-            crash_lost: acc.crash_lost,
-            downtime,
-            crashes_by_machine: std::mem::take(&mut sim.crashes_by_machine),
-        };
-        Ok((metrics, events))
-    }
-
-    /// Run one replication with jobs pulled from a [`JobFeed`] in
-    /// chunks of at most `chunk`, instead of from `self.jobs` (which
-    /// this path ignores). Completed jobs leave the engine through
-    /// `on_job` — called with each job's absolute submission index and
-    /// final [`JobRecord`], in submission order — so the returned
-    /// [`SchedMetrics`] carries an empty `jobs` list and peak memory
-    /// is bounded by the chunk size plus the live job window, not the
-    /// trace length.
-    ///
-    /// Arrivals must be globally non-decreasing across the whole feed;
-    /// a violation surfaces as a typed [`SchedError::InvalidConfig`]
-    /// naming the offending job index. Gang scheduling is rejected up
-    /// front (see [`SchedConfig::validate_streamed`]). Over the same
-    /// job list, this replays [`SchedConfig::run_counted`]'s event
-    /// sequence exactly — same RNG draws, same metrics — which the
-    /// workspace's streaming byte-identity tests pin.
-    pub fn run_streamed(
-        &self,
-        feed: &mut dyn JobFeed,
-        chunk: usize,
-        on_job: &mut dyn FnMut(usize, JobRecord),
-    ) -> Result<(SchedMetrics, u64), SchedError> {
-        self.validate_streamed(chunk)?;
-        let replication = self.replication;
-        let factory = StreamFactory::new(self.seed);
-        let w = self.owners.len();
-
-        let initial_estimates: Vec<f64> = if self.calibration_horizon > 0.0 {
-            self.owners
-                .iter()
-                .enumerate()
-                .map(|(i, o)| {
-                    let mut rng =
-                        factory.labeled_stream("sched-probe", (i as u64) << 32 | replication);
-                    measure_utilization(o, self.calibration_horizon, &mut rng).utilization
-                })
-                .collect()
-        } else {
-            Vec::new() // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
-        };
-
-        let machines: Vec<MachineSim> = self
-            .owners
-            .iter()
-            .enumerate()
-            .map(|(i, owner)| MachineSim {
-                owner,
-                rng: Xoshiro256StarStar::new(
-                    factory
-                        .labeled_stream("ws-continuous", (i as u64) << 32 | replication)
-                        .next(),
-                ),
-                guest: None,
-            })
-            .collect();
-
-        let mut sim = Sim {
-            machines,
-            pool: Pool::new(
-                w,
-                self.admission_threshold,
-                self.estimator_tau,
-                &initial_estimates,
-            ),
-            queue: JobQueue::new(),
-            specs: SpecSource::Window {
-                base: 0,
-                specs: VecDeque::with_capacity(chunk),
-            },
-            jobs: JobTable {
-                base: 0,
-                states: VecDeque::with_capacity(chunk),
-            },
-            jobs_remaining: 0,
-            placement: PlacementState::new(self.placement),
-            placement_rng: factory.labeled_stream("sched-placement", replication),
-            eviction: self.eviction,
-            gang_policy: self.gang,
-            gangs: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "run setup, before the event loop")
-            gang_queue: GangQueue::new(),
-            machine_gang: vec![None; w],
-            growers: BTreeSet::new(),
-            gacc: GangStats::default(),
-            frag_t: 0.0,
-            frag_free: 0,
-            frag_waiting: false,
-            discipline: self.discipline,
-            acc: Acc::default(),
-            failures: self.failures,
-            failure_rngs: failure_streams(&factory, self.failures.is_some(), w, replication),
-            crashes_by_machine: vec![0; if self.failures.is_some() { w } else { 0 }],
-            makespan: 0.0,
-            done: false,
-        };
-
-        let mut cal: Calendar<SchedEvent> = Calendar::with_capacity(w + 16);
-        for m in 0..w {
-            let mach = &mut sim.machines[m];
-            let think = mach.owner.sample_think(&mut mach.rng);
-            cal.post(
-                SimTime::new(think),
-                SchedEvent::OwnerArrival { m: m as u32 },
-            )
-            .expect("invariant: think time is non-negative");
-        }
-        seed_failures(&mut sim, &mut cal);
-
-        let mut feeder = ChunkFeeder::new(chunk);
-        feeder.pull(feed, &mut sim, &mut cal)?;
-        if feeder.scheduled == 0 {
-            return Err(SchedError::InvalidConfig {
-                field: "feed",
-                reason: "need at least one job".into(),
-            });
-        }
-
-        let tracer = &mut NoTrace;
-        while cal.executed() < self.max_events {
-            let Some((t, event)) = cal.pop() else { break };
-            let now = t.as_f64();
-            match event {
-                SchedEvent::OwnerArrival { m } => {
-                    owner_arrival(&mut sim, &mut cal, now, m as usize, tracer);
-                }
-                SchedEvent::OwnerDeparture { m } => {
-                    owner_departure(&mut sim, &mut cal, now, m as usize, tracer);
-                }
-                SchedEvent::JobArrival { j } => {
-                    job_arrival(&mut sim, &mut cal, now, j as usize, tracer);
-                    // The window's last scheduled arrival just fired:
-                    // pull the next chunk *now*, while the calendar's
-                    // backlog floor is this arrival's timestamp, so the
-                    // feed's later arrivals always schedule cleanly.
-                    // `jobs_remaining >= 1` here (a job cannot complete
-                    // inside its own arrival event — completions happen
-                    // in segment-end events), so the run cannot drain
-                    // to `done` with feed jobs still unread.
-                    if j as usize + 1 == feeder.scheduled && !feeder.done {
-                        feeder.pull(feed, &mut sim, &mut cal)?;
-                    }
-                }
-                SchedEvent::SegmentEnd { m } => {
-                    segment_end(&mut sim, &mut cal, now, m as usize, tracer);
-                    sim.jobs.retire_completed(on_job);
-                }
-                SchedEvent::GangSegmentEnd { j } => {
-                    gang_segment_end(&mut sim, &mut cal, now, j as usize, tracer);
-                }
-                SchedEvent::MachineFailure { m } => {
-                    machine_failure(&mut sim, &mut cal, now, m as usize, tracer);
-                }
-                SchedEvent::MachineRepair { m } => {
-                    machine_repair(&mut sim, &mut cal, now, m as usize, tracer);
-                }
-            }
-        }
-        let events = cal.executed();
-
-        if !sim.done {
-            return Err(SchedError::EventCapExceeded {
-                max_events: self.max_events,
-                jobs_unfinished: sim.jobs_remaining,
-            });
-        }
+        // Gang jobs complete in gang segment ends and retire here, with
+        // everything the last segment end left behind.
         sim.jobs.retire_completed(on_job);
         let makespan = sim.makespan;
         let mean_available_machines = sim.pool.mean_available(makespan);
@@ -735,7 +609,7 @@ impl SchedConfig {
             },
             mean_available_machines,
             gang: gacc,
-            jobs: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "streamed runs deliver records through the on_job sink, not the metrics struct")
+            jobs: Vec::new(), // ndslint::allow(no-alloc-in-hot-path, reason = "records leave through the on_job sink, not the metrics struct")
             crashes: acc.crashes,
             crash_lost: acc.crash_lost,
             downtime,
@@ -743,6 +617,17 @@ impl SchedConfig {
         };
         Ok((metrics, events))
     }
+}
+
+/// Where a run's jobs come from.
+enum Intake<'f> {
+    /// The config's own job table, every arrival scheduled up front.
+    Table,
+    /// A [`JobFeed`] pulled `chunk` jobs at a time as arrivals fire.
+    Feed {
+        feed: &'f mut dyn JobFeed,
+        chunk: usize,
+    },
 }
 
 /// Per-spec field checks shared by [`SchedConfig::validate`] and the
@@ -767,53 +652,99 @@ fn validate_job_spec(i: usize, j: &JobSpec) -> Result<(), SchedError> {
     Ok(())
 }
 
-/// The streamed run's chunk intake: pulls bounded batches off the
-/// [`JobFeed`], validates each spec, admits it to the live window, and
-/// pushes its arrival onto the calendar's pre-sorted backlog.
-struct ChunkFeeder {
+/// The engine's job intake: admits specs to the live job table and
+/// puts their arrivals on the calendar. A table run admits everything
+/// up front and holds no feed; a streamed run pulls bounded batches
+/// off its [`JobFeed`], validating each spec, and pushes them onto the
+/// calendar's pre-sorted backlog.
+struct ChunkFeeder<'f> {
+    /// The feed still to be pulled; `None` for a table run and once
+    /// the feed returned an empty chunk (it is never polled again).
+    feed: Option<&'f mut dyn JobFeed>,
     chunk: usize,
     buf: Vec<JobSpec>,
     /// Total arrivals scheduled so far == the next absolute job index.
     scheduled: usize,
-    /// The feed returned an empty chunk; never poll it again.
-    done: bool,
     total_demand: f64,
 }
 
-impl ChunkFeeder {
-    fn new(chunk: usize) -> Self {
+impl<'f> ChunkFeeder<'f> {
+    fn new(feed: &'f mut dyn JobFeed, chunk: usize) -> Self {
         Self {
+            feed: Some(feed),
             chunk,
             buf: Vec::with_capacity(chunk),
             scheduled: 0,
-            done: false,
             total_demand: 0.0,
         }
     }
 
+    /// Admit the whole (already validated) job table at once.
+    fn from_table(jobs: &[JobSpec], sim: &mut Sim<'_>, cal: &mut Calendar<SchedEvent>) -> Self {
+        let mut feeder = Self {
+            feed: None,
+            chunk: 0,
+            buf: Vec::new(),
+            scheduled: jobs.len(),
+            total_demand: 0.0,
+        };
+        for spec in jobs {
+            feeder.admit(sim, spec);
+        }
+        // When arrivals come time-sorted (streams, Poisson workloads —
+        // the common case) they take the calendar's pre-sorted backlog,
+        // which keeps the heap at the live-event horizon instead of the
+        // whole experiment; sequence numbers are allocated identically
+        // on both paths, so the event order is the same either way.
+        let arrival = |(j, spec): (usize, &JobSpec)| {
+            (
+                SimTime::new(spec.arrival),
+                SchedEvent::JobArrival { j: j as u32 },
+            )
+        };
+        if jobs
+            .windows(2)
+            .all(|pair| pair[0].arrival <= pair[1].arrival)
+        {
+            cal.schedule_sorted(jobs.iter().enumerate().map(arrival))
+                .expect("invariant: arrivals are sorted and non-negative");
+        } else {
+            for (at, event) in jobs.iter().enumerate().map(arrival) {
+                cal.post(at, event)
+                    .expect("invariant: arrival is non-negative");
+            }
+        }
+        feeder
+    }
+
+    fn admit(&mut self, sim: &mut Sim<'_>, spec: &JobSpec) {
+        sim.jobs.push_back(JobState::of_spec(spec));
+        sim.jobs_remaining += 1;
+        self.total_demand += spec.total_demand();
+    }
+
+    /// Pull and schedule the feed's next chunk (a no-op once the feed
+    /// is exhausted, and for table runs).
     fn pull(
         &mut self,
-        feed: &mut dyn JobFeed,
         sim: &mut Sim<'_>,
         cal: &mut Calendar<SchedEvent>,
     ) -> Result<(), SchedError> {
+        let Some(feed) = self.feed.as_mut() else {
+            return Ok(());
+        };
         self.buf.clear();
         let n = feed.next_chunk(self.chunk, &mut self.buf)?;
         if n == 0 {
-            self.done = true;
+            self.feed = None;
             return Ok(());
         }
-        let SpecSource::Window { specs: window, .. } = &mut sim.specs else {
-            unreachable!("streamed runs always use a window spec source");
-        };
-        for (k, spec) in self.buf.iter().enumerate() {
-            validate_job_spec(self.scheduled + k, spec)?;
-            window.push_back(*spec);
-            sim.jobs.push_back(JobState::of_spec(spec));
-            self.total_demand += spec.total_demand();
-        }
-        sim.jobs_remaining += n;
         let base = self.scheduled;
+        for k in 0..n {
+            let spec = self.buf[k];
+            validate_job_spec(base + k, &spec)?;
+            self.admit(sim, &spec);
+        }
         cal.schedule_sorted(self.buf.iter().enumerate().map(|(k, spec)| {
             (
                 SimTime::new(spec.arrival),
@@ -954,62 +885,48 @@ struct MachineSim<'a> {
     guest: Option<GuestTask>,
 }
 
+/// One job's live state: its spec (read at arrival), the tasks not yet
+/// completed, and its completion time once done. Kept at 32 bytes: a
+/// streamed run holds one per job from the oldest unfinished job on.
 #[derive(Debug, Clone, Copy)]
 struct JobState {
+    tasks: u32,
     tasks_left: u32,
-    record: JobRecord,
+    task_demand: f64,
+    arrival: f64,
+    completion: f64,
 }
 
 impl JobState {
     fn of_spec(spec: &JobSpec) -> Self {
         Self {
+            tasks: spec.tasks,
             tasks_left: spec.tasks,
-            record: JobRecord {
-                arrival: spec.arrival,
-                completion: f64::NAN,
-                demand: spec.total_demand(),
-            },
+            task_demand: spec.task_demand,
+            arrival: spec.arrival,
+            completion: f64::NAN,
+        }
+    }
+
+    fn record(&self) -> JobRecord {
+        let spec = JobSpec {
+            tasks: self.tasks,
+            task_demand: self.task_demand,
+            arrival: self.arrival,
+        };
+        JobRecord {
+            arrival: self.arrival,
+            completion: self.completion,
+            demand: spec.total_demand(),
         }
     }
 }
 
-/// Where `job_arrival` reads job specs from: the config's materialized
-/// job table (classic path), or a sliding window fed chunk by chunk by
-/// a [`JobFeed`] (streamed path). In the window case arrivals fire in
-/// submission order — sorted times, sequentially allocated calendar
-/// sequence numbers — so the arriving job is always the window's
-/// front, and its spec retires the moment it is consumed.
-#[derive(Debug)]
-enum SpecSource<'a> {
-    All(&'a [JobSpec]),
-    Window {
-        base: usize,
-        specs: VecDeque<JobSpec>,
-    },
-}
-
-impl SpecSource<'_> {
-    #[inline]
-    fn take(&mut self, j: usize) -> JobSpec {
-        match self {
-            Self::All(specs) => specs[j],
-            Self::Window { base, specs } => {
-                debug_assert_eq!(*base, j, "streamed arrivals fire in submission order");
-                *base += 1;
-                specs
-                    .pop_front()
-                    .expect("invariant: a scheduled arrival's spec is resident in the window")
-            }
-        }
-    }
-}
-
-/// Per-job live state addressed by absolute job index. The classic
-/// path holds every job for the whole run (`base == 0`, nothing ever
-/// retires — bit-identical to the old `Vec<JobState>`); the streamed
-/// path retires the completed prefix in submission order, emitting each
-/// [`JobRecord`] to the caller's sink, so residency tracks the live job
-/// window instead of the experiment length.
+/// Per-job live state addressed by absolute job index. The completed
+/// prefix retires in submission order, emitting each [`JobRecord`] to
+/// the run's sink, so a streamed run's residency tracks the live job
+/// window instead of the experiment length. A job that has not yet
+/// arrived has tasks left, so it holds back everything behind it.
 #[derive(Debug)]
 struct JobTable {
     base: usize,
@@ -1017,13 +934,6 @@ struct JobTable {
 }
 
 impl JobTable {
-    fn from_states(states: Vec<JobState>) -> Self {
-        Self {
-            base: 0,
-            states: VecDeque::from(states),
-        }
-    }
-
     #[inline]
     fn get_mut(&mut self, j: usize) -> &mut JobState {
         &mut self.states[j - self.base]
@@ -1047,13 +957,9 @@ impl JobTable {
                 .states
                 .pop_front()
                 .expect("invariant: front() was Some in the loop guard");
-            on_job(self.base, state.record);
+            on_job(self.base, state.record());
             self.base += 1;
         }
-    }
-
-    fn records(&self) -> Vec<JobRecord> {
-        self.states.iter().map(|s| s.record).collect()
     }
 }
 
@@ -1178,7 +1084,6 @@ struct Sim<'a> {
     machines: Vec<MachineSim<'a>>,
     pool: Pool,
     queue: JobQueue,
-    specs: SpecSource<'a>,
     jobs: JobTable,
     jobs_remaining: usize,
     placement: PlacementState,
@@ -1387,7 +1292,7 @@ fn segment_end<T: SchedTracer>(
     let job = sim.jobs.get_mut(guest.job);
     job.tasks_left -= 1;
     if job.tasks_left == 0 {
-        job.record.completion = now;
+        job.completion = now;
         sim.jobs_remaining -= 1;
         if T::ENABLED {
             tracer.record(
@@ -1396,10 +1301,11 @@ fn segment_end<T: SchedTracer>(
                     job: guest.job as u32,
                 },
             );
-            let response = job.record.response_time();
+            let record = job.record();
+            let response = record.response_time();
             tracer.observe(now, ObsKind::Response, response);
-            if job.record.demand > 0.0 {
-                tracer.observe(now, ObsKind::Slowdown, response / job.record.demand);
+            if record.demand > 0.0 {
+                tracer.observe(now, ObsKind::Slowdown, response / record.demand);
             }
         }
         if sim.jobs_remaining == 0 {
@@ -1420,7 +1326,8 @@ fn job_arrival<T: SchedTracer>(
     j: usize,
     tracer: &mut T,
 ) {
-    let spec = sim.specs.take(j);
+    let job = sim.jobs.get_mut(j);
+    let (tasks, task_demand) = (job.tasks, job.task_demand);
     if T::ENABLED {
         tracer.record(now, SchedRecord::JobArrival { job: j as u32 });
     }
@@ -1428,20 +1335,20 @@ fn job_arrival<T: SchedTracer>(
         let min_tasks = sim.gangs[j].floor;
         sim.gang_queue.push(PendingGang {
             job: j,
-            tasks: spec.tasks,
+            tasks,
             min_tasks,
-            demand: spec.task_demand,
-            remaining: spec.task_demand,
+            demand: task_demand,
+            remaining: task_demand,
             setup: 0.0,
             enqueued_at: now,
         });
     } else {
-        for task in 0..spec.tasks {
+        for task in 0..tasks {
             sim.queue.push(PendingTask {
                 job: j,
                 task,
-                demand: spec.task_demand,
-                remaining: spec.task_demand,
+                demand: task_demand,
+                remaining: task_demand,
                 setup: 0.0,
                 enqueued_at: now,
             });
@@ -2648,14 +2555,15 @@ fn gang_segment_end<T: SchedTracer>(
     sim.acc.completed_tasks += u64::from(width);
     let job = sim.jobs.get_mut(j);
     job.tasks_left = 0;
-    job.record.completion = now;
+    job.completion = now;
     sim.jobs_remaining -= 1;
     if T::ENABLED {
         tracer.record(now, SchedRecord::JobCompleted { job: j as u32 });
-        let response = job.record.response_time();
+        let record = job.record();
+        let response = record.response_time();
         tracer.observe(now, ObsKind::Response, response);
-        if job.record.demand > 0.0 {
-            tracer.observe(now, ObsKind::Slowdown, response / job.record.demand);
+        if record.demand > 0.0 {
+            tracer.observe(now, ObsKind::Slowdown, response / record.demand);
         }
     }
     if sim.jobs_remaining == 0 {
@@ -3368,23 +3276,67 @@ mod tests {
     #[test]
     fn streamed_run_replays_materialized_byte_for_byte() {
         use crate::feed::SliceFeed;
-        let cfg = streaming_config();
-        let (want, want_events) = cfg.run_counted().unwrap();
-        for chunk in [1usize, 7, 1000] {
-            let mut feed = SliceFeed::new(&cfg.jobs);
-            let mut records = Vec::new();
-            let mut next = 0usize;
-            let (mut got, events) = cfg
-                .run_streamed(&mut feed, chunk, &mut |j, r| {
-                    assert_eq!(j, next, "records retire in submission order");
-                    next += 1;
-                    records.push(r);
-                })
-                .unwrap();
-            assert!(got.jobs.is_empty(), "streamed metrics carry no job table");
-            got.jobs = records;
-            assert_eq!(got, want, "chunk {chunk} diverged from materialized run");
-            assert_eq!(events, want_events, "chunk {chunk} executed extra events");
+        // The base config, then one knob varied at a time: every
+        // placement policy, every eviction policy, both queue
+        // disciplines, and a calibrated estimator start.
+        let mut grid = vec![streaming_config()];
+        for placement in PlacementKind::ALL {
+            let mut cfg = streaming_config();
+            cfg.placement = placement;
+            grid.push(cfg);
+        }
+        for eviction in [
+            EvictionPolicy::SuspendResume,
+            EvictionPolicy::Restart,
+            EvictionPolicy::Migrate { overhead: 3.0 },
+            EvictionPolicy::Checkpoint {
+                interval: 10.0,
+                overhead: 0.5,
+            },
+            EvictionPolicy::Adaptive {
+                threshold: 15.0,
+                interval: 10.0,
+                overhead: 0.5,
+            },
+        ] {
+            let mut cfg = streaming_config();
+            cfg.eviction = eviction;
+            grid.push(cfg);
+        }
+        for discipline in [QueueDiscipline::Fcfs, QueueDiscipline::SjfBackfill] {
+            let mut cfg = streaming_config();
+            cfg.discipline = discipline;
+            grid.push(cfg);
+        }
+        let mut calibrated = streaming_config();
+        calibrated.calibration_horizon = 500.0;
+        calibrated.admission_threshold = 0.2;
+        grid.push(calibrated);
+
+        for (case, cfg) in grid.iter().enumerate() {
+            let (want, want_events) = cfg.run_counted().unwrap();
+            for chunk in [1usize, 7, 1000] {
+                let mut feed = SliceFeed::new(&cfg.jobs);
+                let mut records = Vec::new();
+                let mut next = 0usize;
+                let (mut got, events) = cfg
+                    .run_streamed(&mut feed, chunk, &mut |j, r| {
+                        assert_eq!(j, next, "records retire in submission order");
+                        next += 1;
+                        records.push(r);
+                    })
+                    .unwrap();
+                assert!(got.jobs.is_empty(), "streamed metrics carry no job table");
+                got.jobs = records;
+                assert_eq!(
+                    got, want,
+                    "case {case}, chunk {chunk} diverged from materialized run"
+                );
+                assert_eq!(
+                    events, want_events,
+                    "case {case}, chunk {chunk} executed extra events"
+                );
+            }
         }
     }
 

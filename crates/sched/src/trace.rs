@@ -3,9 +3,8 @@
 //!
 //! # Architecture
 //!
-//! [`SchedTracer`] mirrors `nds-des`'s calendar-level
-//! [`nds_des::Tracer`] one layer up: the simulator's event handlers are
-//! generic over it, every emission site is guarded by
+//! The simulator's event handlers are generic over [`SchedTracer`]:
+//! every emission site is guarded by
 //! `if T::ENABLED`, and the zero-sized [`nds_des::NoTrace`] (the
 //! default everywhere) sets `ENABLED = false`, so the untraced engine
 //! monomorphizes to exactly the pre-tracing hot path — bit-identical
