@@ -1,36 +1,24 @@
-//! Continuous-time workstation simulation on the DES engine.
+//! Continuous-time workstation simulation.
 //!
-//! One workstation is one preemptive-priority [`Facility`] (its CPU).
-//! The parallel task is a low-priority request for `T` units of service;
-//! the owner alternates think/use cycles drawn from an
-//! [`OwnerWorkload`], each use burst preempting the task instantly —
-//! the paper's interference assumption transplanted to continuous time
-//! with arbitrary distributions (its stated future work).
+//! One workstation is one preempt-resume CPU. The parallel task needs
+//! `T` units of service; the owner alternates think/use cycles drawn
+//! from an [`OwnerWorkload`], each use burst preempting the task
+//! instantly — the paper's interference assumption transplanted to
+//! continuous time with arbitrary distributions (its stated future
+//! work).
+//!
+//! With one task and one owner the run is a two-event renewal process,
+//! so it needs no event calendar: [`ContinuousWorkstation::run_task`]
+//! walks the owner's bursts directly. Its time arithmetic goes through
+//! [`SimTime`] and its draws come in cycle order (think, then use, then
+//! think …), so it matches a calendar run over a preemptive-priority
+//! `nds_des::Facility` bit for bit. An owner request that falls on the
+//! task's completion instant loses the tie: the task completes first.
 
 use crate::owner::OwnerWorkload;
 use crate::task::TaskOutcome;
-use nds_des::{Engine, EventId, Facility, Request, RequestOutcome, SimTime};
+use nds_des::SimTime;
 use nds_stats::rng::Xoshiro256StarStar;
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Priority of owner processes (preempts tasks).
-pub const OWNER_PRIORITY: i32 = 10;
-/// Priority of parallel tasks ("niced" in the paper's PVM experiment).
-pub const TASK_PRIORITY: i32 = 0;
-
-/// The task's facility request id (owners use ids from 1 upward).
-const TASK_REQ: u64 = 0;
-
-struct WsState {
-    facility: Facility,
-    owner: OwnerWorkload,
-    rng: Xoshiro256StarStar,
-    task_completion: Option<EventId>,
-    task_done: Option<SimTime>,
-    interruptions: u64,
-    next_owner_req: u64,
-}
 
 /// A single non-dedicated workstation executing one parallel task under
 /// continuous-time owner interference.
@@ -54,150 +42,45 @@ impl ContinuousWorkstation {
     /// report its outcome. The caller's RNG seeds an internal stream, so
     /// successive calls with the same RNG state are reproducible.
     pub fn run_task(&self, task_demand: f64, rng: &mut Xoshiro256StarStar) -> TaskOutcome {
-        assert!(
-            task_demand > 0.0 && task_demand.is_finite(),
-            "task demand must be finite and > 0"
-        );
-        let mut engine = Engine::new();
-        let state = Rc::new(RefCell::new(WsState {
-            facility: Facility::new("cpu"),
-            owner: self.owner.clone(),
-            rng: Xoshiro256StarStar::new(rng.next()),
-            task_completion: None,
-            task_done: None,
-            interruptions: 0,
-            next_owner_req: 1,
-        }));
-
-        // Submit the task at t = 0.
-        {
-            let mut st = state.borrow_mut();
-            let (outcome, _) = st
-                .facility
-                .submit(
-                    SimTime::ZERO,
-                    Request {
-                        id: TASK_REQ,
-                        priority: TASK_PRIORITY,
-                        demand: task_demand,
-                    },
-                )
-                .expect("fresh facility accepts the task");
-            let RequestOutcome::Started { completion } = outcome else {
-                unreachable!("idle facility starts immediately");
-            };
-            let sc = state.clone();
-            let ev = engine
-                .schedule(completion, move |e| task_complete(e, &sc))
-                .expect("schedule task completion");
-            st.task_completion = Some(ev);
-        }
-
-        // First owner arrival after one think period.
-        {
-            let think = {
-                let mut guard = state.borrow_mut();
-                let st = &mut *guard;
-                st.owner.sample_think(&mut st.rng)
-            };
-            let sc = state.clone();
-            engine
-                .schedule(SimTime::new(think), move |e| owner_arrival(e, &sc))
-                .expect("schedule first owner arrival");
-        }
-
-        engine.run_to_quiescence(None);
-
-        let st = state.borrow();
-        let done = st
-            .task_done
-            .expect("task must complete once the calendar drains")
-            .as_f64();
-        TaskOutcome {
-            execution_time: done,
-            demand: task_demand,
-            interruptions: st.interruptions,
-            suspended_time: done - task_demand,
-        }
+        run_task(&self.owner, task_demand, rng)
     }
 }
 
-fn owner_arrival(engine: &mut Engine, state: &Rc<RefCell<WsState>>) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    if st.task_done.is_some() {
-        // The job is over; stop generating interference so the run ends.
-        return;
+/// Run one task of `task_demand` against `owner`'s think/use cycles
+/// (see [`ContinuousWorkstation::run_task`]).
+pub(crate) fn run_task(
+    owner: &OwnerWorkload,
+    task_demand: f64,
+    rng: &mut Xoshiro256StarStar,
+) -> TaskOutcome {
+    assert!(
+        task_demand > 0.0 && task_demand.is_finite(),
+        "task demand must be finite and > 0"
+    );
+    let mut rng = Xoshiro256StarStar::new(rng.next());
+    // The task's last (re)start, the work it still owed then, and the
+    // instants it would complete and the owner next requests the CPU.
+    let mut since = SimTime::ZERO;
+    let mut remaining = task_demand;
+    let mut completion = since + SimTime::new(remaining);
+    let mut arrival = SimTime::new(owner.sample_think(&mut rng));
+    let mut interruptions = 0;
+    // A request on the completion instant finds the task done.
+    while arrival < completion {
+        let burst = owner.sample_service(&mut rng);
+        remaining = (remaining - (arrival - since).as_f64()).max(0.0);
+        interruptions += 1;
+        since = arrival + SimTime::new(burst);
+        completion = since + SimTime::new(remaining);
+        arrival = since + SimTime::new(owner.sample_think(&mut rng));
     }
-    let demand = st.owner.sample_service(&mut st.rng);
-    let req_id = st.next_owner_req;
-    st.next_owner_req += 1;
-    let (outcome, preempted) = st
-        .facility
-        .submit(
-            now,
-            Request {
-                id: req_id,
-                priority: OWNER_PRIORITY,
-                demand,
-            },
-        )
-        .expect("owner demand is positive");
-    let RequestOutcome::Started { completion } = outcome else {
-        unreachable!("owner always outranks the running task");
-    };
-    if preempted.is_some() {
-        st.interruptions += 1;
-        if let Some(ev) = st.task_completion.take() {
-            engine.cancel(ev);
-        }
+    let done = completion.as_f64();
+    TaskOutcome {
+        execution_time: done,
+        demand: task_demand,
+        interruptions,
+        suspended_time: done - task_demand,
     }
-    let sc = state.clone();
-    drop(guard);
-    engine
-        .schedule(completion, move |e| owner_complete(e, &sc))
-        .expect("schedule owner completion");
-}
-
-fn owner_complete(engine: &mut Engine, state: &Rc<RefCell<WsState>>) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    let (_owner_id, resumed) = st
-        .facility
-        .complete_current(now)
-        .expect("owner burst was in service");
-    if let Some((id, completion)) = resumed {
-        debug_assert_eq!(id, TASK_REQ, "only the task can be resumed");
-        let sc = state.clone();
-        let ev = engine
-            .schedule(completion, move |e| task_complete(e, &sc))
-            .expect("schedule resumed task completion");
-        st.task_completion = Some(ev);
-    }
-    // Next owner cycle: think, then use again.
-    if st.task_done.is_none() {
-        let think = st.owner.sample_think(&mut st.rng);
-        let sc = state.clone();
-        drop(guard);
-        engine
-            .schedule(now + SimTime::new(think), move |e| owner_arrival(e, &sc))
-            .expect("schedule next owner arrival");
-    }
-}
-
-fn task_complete(engine: &mut Engine, state: &Rc<RefCell<WsState>>) {
-    let now = engine.now();
-    let mut st = state.borrow_mut();
-    let (id, next) = st
-        .facility
-        .complete_current(now)
-        .expect("task was in service");
-    debug_assert_eq!(id, TASK_REQ);
-    debug_assert!(next.is_none(), "no owner can be waiting behind the task");
-    st.task_completion = None;
-    st.task_done = Some(now);
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! seed, so growing the pool does not perturb the other stations' sample
 //! paths.
 
-use crate::continuous::ContinuousWorkstation;
+use crate::continuous;
 use crate::discrete::DiscreteTaskSim;
 use crate::owner::OwnerWorkload;
 use crate::task::TaskOutcome;
@@ -94,13 +94,12 @@ impl JobRunner {
         w: u32,
         replication: u64,
     ) -> JobResult {
-        let ws = ContinuousWorkstation::new(owner.clone());
         let tasks = (0..w)
             .map(|i| {
                 let mut rng = self
                     .streams
                     .labeled_stream("ws-continuous", u64::from(i) << 32 | replication);
-                ws.run_task(task_demand, &mut rng)
+                continuous::run_task(owner, task_demand, &mut rng)
             })
             .collect();
         JobResult { tasks }
@@ -118,11 +117,10 @@ impl JobRunner {
             .iter()
             .enumerate()
             .map(|(i, owner)| {
-                let ws = ContinuousWorkstation::new(owner.clone());
                 let mut rng = self
                     .streams
                     .labeled_stream("ws-hetero", (i as u64) << 32 | replication);
-                ws.run_task(task_demand, &mut rng)
+                continuous::run_task(owner, task_demand, &mut rng)
             })
             .collect();
         JobResult { tasks }

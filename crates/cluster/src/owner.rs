@@ -18,17 +18,17 @@ use std::sync::Arc;
 
 /// An owner's stochastic behaviour: think times and service demands.
 ///
-/// Cheap to clone (distributions are shared). Distributions with a
-/// [`ClosedForm`] recipe are cached at construction so the scheduler's
-/// hot loop samples them inline — bit-identical draws, no virtual call
-/// per owner event.
+/// Cheap to clone: the distributions and the label are shared, so a
+/// clone allocates nothing. Distributions with a [`ClosedForm`] recipe
+/// are cached at construction so the scheduler's hot loop samples them
+/// inline — bit-identical draws, no virtual call per owner event.
 #[derive(Debug, Clone)]
 pub struct OwnerWorkload {
     think: Arc<dyn Distribution>,
     service: Arc<dyn Distribution>,
     think_fast: Option<ClosedForm>,
     service_fast: Option<ClosedForm>,
-    label: String,
+    label: Arc<str>,
 }
 
 impl OwnerWorkload {
@@ -45,7 +45,7 @@ impl OwnerWorkload {
             service,
             think_fast,
             service_fast,
-            label: label.into(),
+            label: Arc::from(label.into()),
         }
     }
 

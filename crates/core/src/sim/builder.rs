@@ -25,10 +25,14 @@
 //! * the **cluster runner** ([`nds_cluster::job::JobRunner`]) when the
 //!   configuration is *degenerate* — a homogeneous pool, one closed job
 //!   with one task per station, suspend-resume eviction, nothing fenced
-//!   by admission control. This is the paper's exact model, and by the
-//!   workspace's degenerate-equivalence invariant it reproduces the
-//!   scheduler engine's job times bit-for-bit at a fraction of the
-//!   cost;
+//!   by admission control. This is the paper's exact model, run at a
+//!   fraction of the engine's cost. By the workspace's
+//!   degenerate-equivalence invariant it reproduces the scheduler
+//!   engine's job times bit-for-bit whenever no owner request lands on
+//!   a task's completion instant. Integer-time owners (the paper's) can
+//!   land there: the cluster runner then completes the task first and
+//!   the engine serves the request first, so the engine's job time is
+//!   later by at most one owner burst;
 //! * the **scheduler engine** ([`nds_sched`]) for everything else:
 //!   multi-job and open workloads, non-trivial eviction/placement,
 //!   admission thresholds.
@@ -54,7 +58,10 @@ use nds_stats::batch_means::{PAPER_BATCHES, PAPER_CONFIDENCE};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Pick automatically: the cluster runner for degenerate closed
-    /// configurations, the scheduler engine otherwise.
+    /// configurations, the scheduler engine otherwise. The two differ
+    /// only when an owner request lands on a task's completion instant
+    /// (integer-time owners): Auto then gives the cluster runner's
+    /// completion-first job time, not the engine's.
     #[default]
     Auto,
     /// Force the closed-form cluster runner (errors if the
@@ -454,9 +461,10 @@ impl Sim {
     ///
     /// Tracing always lowers to the scheduler engine — the closed-form
     /// cluster runner has no event loop to observe — so a degenerate
-    /// configuration's traced metrics still match its untraced run
+    /// configuration's traced metrics match its untraced run
     /// bit-for-bit (by the workspace's degenerate-equivalence
-    /// invariant). Like [`Sim::run`], replications shard across scoped
+    /// invariant) unless an integer-time owner's request lands on a
+    /// task's completion instant; see [`Backend::Auto`]. Like [`Sim::run`], replications shard across scoped
     /// threads when [`SimBuilder::shards`] exceeds one; the recorder
     /// only ever observes simulation state, so the traces are
     /// byte-identical to the serial path's.

@@ -58,7 +58,10 @@
 //! paper's model exactly: machine `i` consumes the same RNG stream as
 //! [`nds_cluster::JobRunner`]'s station `i`, so the degenerate
 //! configuration reproduces `JobRunner`'s job times bit-for-bit (the
-//! workspace's invariant tests enforce this).
+//! workspace's invariant tests enforce this). The one exception is an
+//! owner request landing on a task's completion instant, which only
+//! integer-time owners such as the paper's produce: this engine serves
+//! the request first, `JobRunner` completes the task first.
 //!
 //! ## Quickstart
 //!

@@ -4,7 +4,10 @@
 //! 1. **Degenerate equivalence** — a `Sim` describing the paper's
 //!    configuration (full pool, one task per station, suspend-resume)
 //!    reproduces [`JobRunner`] job times **bit-for-bit**, on every
-//!    backend the builder can lower to.
+//!    backend the builder can lower to, for owners whose requests never
+//!    land on a task's completion instant. With the paper's
+//!    integer-time owner Auto still equals the cluster backend bit for
+//!    bit, and the engine is later by at most one owner burst.
 //! 2. **Thin lowering** — `Sim::lower` produces exactly the
 //!    [`SchedConfig`] a caller would have written by hand, so the
 //!    builder adds description, never behaviour.
@@ -92,6 +95,47 @@ fn degenerate_sim_matches_per_station_workstation_paths() {
         })
         .fold(0.0f64, f64::max);
     assert_eq!(report.runs[rep as usize].makespan, per_station_max);
+}
+
+#[test]
+fn paper_owner_ties_split_the_fast_path_from_the_engine() {
+    // The paper's owner has integer think and use times, so an owner
+    // request can land on the instant a task completes. The cluster
+    // fast path completes the task first; the scheduler engine serves
+    // the request first and the task waits one more burst of O. Auto
+    // must still be the fast path bit for bit, and the engine may only
+    // be later, by at most one burst.
+    let (o, job_demand, reps) = (10.0, 1000.0, 1_000u64);
+    let mut differing = 0;
+    for u in [0.05, 0.2, 0.5] {
+        let ow = OwnerWorkload::paper_from_utilization(o, u).unwrap();
+        for w in [4u32, 25, 100] {
+            let run = |backend| {
+                Sim::pool(w)
+                    .owners(&ow)
+                    .workload(single_job(w, job_demand / f64::from(w)))
+                    .seed(0x7E5)
+                    .replications(reps)
+                    .backend(backend)
+                    .run()
+                    .unwrap()
+            };
+            let cluster = run(Backend::Cluster);
+            assert_eq!(run(Backend::Auto), cluster, "U={u} W={w}: auto vs cluster");
+            let sched = run(Backend::Sched);
+            for (rep, (s, c)) in sched.runs.iter().zip(&cluster.runs).enumerate() {
+                let gap = s.makespan - c.makespan;
+                assert!(
+                    (0.0..=o).contains(&gap),
+                    "U={u} W={w} rep={rep}: sched {} vs cluster {}",
+                    s.makespan,
+                    c.makespan
+                );
+                differing += usize::from(gap > 0.0);
+            }
+        }
+    }
+    assert!(differing > 0, "no replication hit a tie");
 }
 
 #[test]

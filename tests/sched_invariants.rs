@@ -6,7 +6,11 @@
 //! 2. **Degenerate equivalence** — a fixed full-size pool with
 //!    suspend-resume eviction reproduces the single-job
 //!    [`JobRunner`]/[`ContinuousWorkstation`] results of the paper's
-//!    model, bit-for-bit (shared RNG stream derivation).
+//!    model, bit-for-bit (shared RNG stream derivation), for owners
+//!    whose requests never land on a task's completion instant. With
+//!    integer-time owners they can, and the engine then serves the
+//!    request first where `JobRunner` completes the task first
+//!    (pinned in `builder_invariants.rs`).
 //! 3. **Deterministic replay** — identical configs replay identically;
 //!    replications diverge.
 //! 4. **Availability accounting** — the pool's downtime integral under
