@@ -12,6 +12,15 @@
 //! the tie order is pinned too. Two more lines pin
 //! `JobRunner::run_continuous_job` and `JobRunner::run_hetero_job`.
 //!
+//! The same digest pins the other two workstation models, recorded
+//! from their closure-engine versions too: `SmpWorkstation` blocks over
+//! CPU count × owner streams × owner kind × demand (skipping machines
+//! whose owners load at least 80% of the CPUs, where a task can take
+//! an unbounded time), and `run_station_tasks` /
+//! `MultiJobExperiment::run` blocks over simultaneous, staggered and
+//! equal-time job arrivals, whose integer times tie with the paper
+//! owner's.
+//!
 //! Regenerate (only when *intentionally* changing the continuous-time
 //! workstation's semantics) with:
 //!
@@ -19,6 +28,8 @@
 //! NDS_REGEN_GOLDEN=1 cargo test -q --test cluster_fast_path_oracle
 //! ```
 
+use nds::cluster::multi::{run_station_tasks, JobOutcome, JobSpec, MultiJobExperiment};
+use nds::cluster::smp::SmpWorkstation;
 use nds::cluster::{ContinuousWorkstation, JobResult, JobRunner, OwnerWorkload, TaskOutcome};
 use nds::stats::rng::Xoshiro256StarStar;
 use std::fmt::Write as _;
@@ -47,6 +58,36 @@ fn fnv(hash: u64, word: u64) -> u64 {
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Task arrival patterns for the multi-job blocks: `(demand, arrival)`.
+const JOB_SETS: [(&str, &[(f64, f64)]); 4] = [
+    ("simultaneous", &[(37.3, 0.0), (10.0, 0.0), (120.0, 0.0)]),
+    ("staggered", &[(50.0, 0.0), (20.0, 13.7), (5.5, 41.25)]),
+    ("equal-time", &[(10.0, 10.0), (20.0, 10.0), (30.0, 20.0)]),
+    (
+        "out-of-order",
+        &[(40.0, 30.0), (10.0, 0.0), (25.0, 30.0), (0.5, 5.0)],
+    ),
+];
+
+fn jobs(set: &[(f64, f64)]) -> Vec<JobSpec> {
+    set.iter()
+        .map(|&(task_demand, arrival)| JobSpec {
+            task_demand,
+            arrival,
+        })
+        .collect()
+}
+
+/// Count and FNV-1a digest over the bits of a run of times.
+fn digest_times(times: impl IntoIterator<Item = f64>) -> String {
+    let (mut count, mut digest) = (0u64, FNV_OFFSET);
+    for t in times {
+        count += 1;
+        digest = fnv(digest, t.to_bits());
+    }
+    format!("count={count} digest={digest:016x}")
+}
 
 /// Count, interruption sum and digest over a run of outcomes.
 fn summarize<'a>(outcomes: impl IntoIterator<Item = &'a TaskOutcome>) -> String {
@@ -98,7 +139,71 @@ fn render() -> String {
     writeln!(out, "{}", job_line("run_continuous_job", &job)).unwrap();
     let job = runner.run_hetero_job(&owners(), 37.3, 5);
     writeln!(out, "{}", job_line("run_hetero_job", &job)).unwrap();
+    render_smp(&mut out);
+    render_multi(&mut out);
     out
+}
+
+fn render_smp(out: &mut String) {
+    for cpus in [1, 2, 4] {
+        for streams in [1, 2, 4] {
+            for owner in owners() {
+                if streams as f64 * owner.utilization() >= 0.8 * cpus as f64 {
+                    continue;
+                }
+                let ws = SmpWorkstation::with_owners(cpus, vec![owner.clone(); streams]);
+                for demand in DEMANDS {
+                    let outcomes: Vec<TaskOutcome> = (0..SEEDS)
+                        .map(|seed| ws.run_task(demand, &mut Xoshiro256StarStar::new(seed)))
+                        .collect();
+                    writeln!(
+                        out,
+                        "== smp cpus={cpus} streams={streams} {} T={demand}\n{}\nfirst={:?}",
+                        owner.label(),
+                        summarize(&outcomes),
+                        outcomes[0]
+                    )
+                    .unwrap();
+                }
+            }
+        }
+    }
+}
+
+fn render_multi(out: &mut String) {
+    for (name, set) in JOB_SETS {
+        let specs = jobs(set);
+        for owner in owners() {
+            let times = (0..SEEDS).flat_map(|seed| {
+                run_station_tasks(&owner, &specs, &mut Xoshiro256StarStar::new(seed))
+            });
+            writeln!(
+                out,
+                "== run_station_tasks {name} {}\n{}",
+                owner.label(),
+                digest_times(times)
+            )
+            .unwrap();
+        }
+        let experiment = MultiJobExperiment {
+            jobs: specs,
+            workstations: 8,
+            owner: OwnerWorkload::paper_from_utilization(10.0, 0.2).unwrap(),
+            seed: 0x3A1,
+        };
+        let runs: Vec<Vec<JobOutcome>> = (0..4).map(|rep| experiment.run(rep)).collect();
+        let fields = runs
+            .iter()
+            .flatten()
+            .flat_map(|o| [o.completion, o.response_time, o.dedicated_time]);
+        writeln!(
+            out,
+            "== MultiJobExperiment::run {name}\n{}\nfirst={:?}",
+            digest_times(fields),
+            runs[0]
+        )
+        .unwrap();
+    }
 }
 
 #[test]
