@@ -1,12 +1,11 @@
 //! Micro-benchmarks of the substrates: binomial/model evaluation, the
-//! discrete and continuous simulators, the DES facility, and the RNG —
-//! the ablation data behind DESIGN.md's performance notes.
+//! discrete and continuous simulators, and the RNG. Run with
+//! `cargo bench -p nds-bench --bench substrate`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nds_cluster::continuous::ContinuousWorkstation;
 use nds_cluster::discrete::DiscreteTaskSim;
 use nds_cluster::owner::OwnerWorkload;
-use nds_des::{Facility, Request, SimTime};
 use nds_model::binomial::Binomial;
 use nds_model::expectation::expected_job_time_int;
 use nds_model::params::OwnerParams;
@@ -52,37 +51,6 @@ fn continuous_sim(c: &mut Criterion) {
     });
 }
 
-fn facility_preemption_cycle(c: &mut Criterion) {
-    c.bench_function("facility_preempt_resume_cycle", |b| {
-        b.iter(|| {
-            let mut f = Facility::new("cpu");
-            f.submit(
-                SimTime::ZERO,
-                Request {
-                    id: 0,
-                    priority: 0,
-                    demand: 100.0,
-                },
-            )
-            .unwrap();
-            for i in 1..=50u64 {
-                let now = SimTime::new(i as f64);
-                f.submit(
-                    now,
-                    Request {
-                        id: i,
-                        priority: 10,
-                        demand: 0.5,
-                    },
-                )
-                .unwrap();
-                f.complete_current(SimTime::new(i as f64 + 0.5)).unwrap();
-            }
-            black_box(f.preemptions())
-        })
-    });
-}
-
 fn rng_throughput(c: &mut Criterion) {
     c.bench_function("xoshiro_next_f64_1k", |b| {
         let mut rng = Xoshiro256StarStar::new(42);
@@ -103,7 +71,6 @@ criterion_group!(
     model_evaluation,
     discrete_sim,
     continuous_sim,
-    facility_preemption_cycle,
     rng_throughput
 );
 criterion_main!(substrate);

@@ -11,9 +11,8 @@
 //! so it needs no event calendar: [`ContinuousWorkstation::run_task`]
 //! walks the owner's bursts directly. Its time arithmetic goes through
 //! [`SimTime`] and its draws come in cycle order (think, then use, then
-//! think …), so it matches a calendar run over a preemptive-priority
-//! `nds_des::Facility` bit for bit. An owner request that falls on the
-//! task's completion instant loses the tie: the task completes first.
+//! think …). An owner request that falls on the task's completion
+//! instant loses the tie: the task completes first.
 
 use crate::owner::OwnerWorkload;
 use crate::task::TaskOutcome;

@@ -12,13 +12,18 @@
 //!   counterpart of the paper's CSIM program, whose sole purpose was to
 //!   validate the analysis; [`experiment`] reruns that validation with
 //!   the paper's exact batch-means procedure.
-//! * [`continuous`] — a continuous-time generalization built on the
-//!   [`nds_des`] engine and its preemptive-priority [`nds_des::Facility`]:
-//!   arbitrary think-time and service-demand distributions
-//!   (exponential, hyperexponential, long-job mixtures...), which the
-//!   paper lists as future work. This simulator also backs the PVM
-//!   validation experiments (Figures 10–11), where owner interference is
-//!   continuous-time at ~3% utilization.
+//! * [`continuous`] — a continuous-time generalization with arbitrary
+//!   think-time and service-demand distributions (exponential,
+//!   hyperexponential, long-job mixtures...), which the paper lists as
+//!   future work. One task against one owner is a renewal process, so
+//!   it runs as a direct loop over the owner's bursts. This simulator
+//!   also backs the PVM validation experiments (Figures 10–11), where
+//!   owner interference is continuous-time at ~3% utilization.
+//!
+//! Two extensions go beyond the paper's one-job, one-CPU model:
+//! [`multi`] (several jobs sharing each workstation, a direct loop) and
+//! [`smp`] (multiprocessor workstations with several owner streams,
+//! driven by an [`nds_des::Calendar`]).
 //!
 //! Supporting modules: [`owner`] (owner workload generators), [`job`]
 //! (multi-workstation job runs), [`probe`] (utilization measurement, the

@@ -7,19 +7,18 @@
 //! by owners as always), and each job completes when its last task
 //! does. The experiment quantifies how co-scheduled jobs stretch each
 //! other — interference now comes from owners *and* rival tasks.
+//!
+//! One station is a direct loop over task arrivals, owner requests and
+//! completions. At equal times a task arrival comes first, then an
+//! owner request, then a task completion. That is the reverse of
+//! [`ContinuousWorkstation`](crate::ContinuousWorkstation)'s tie rule,
+//! so on the paper's integer-time owner a one-job station can finish
+//! its task up to one owner burst later than that workstation does.
 
 use crate::owner::OwnerWorkload;
-use nds_des::{Engine, EventId, Facility, Request, RequestId, RequestOutcome, SimTime};
+use nds_des::SimTime;
 use nds_stats::rng::{StreamFactory, Xoshiro256StarStar};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Priority of owner processes (preempts tasks).
-const OWNER_PRIORITY: i32 = 10;
-/// Priority of parallel tasks.
-const TASK_PRIORITY: i32 = 0;
-/// Owner request ids start here; below are task indices.
-const OWNER_BASE: RequestId = 1 << 32;
+use std::collections::VecDeque;
 
 /// One parallel job in a multi-job workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,21 +48,36 @@ impl JobOutcome {
     }
 }
 
-struct MState {
-    facility: Facility,
-    owner: OwnerWorkload,
-    rng: Xoshiro256StarStar,
-    /// Completion event for whatever is in service.
-    completion_ev: Option<EventId>,
-    /// Completion time per task (index = task id).
-    done: Vec<Option<f64>>,
-    remaining: usize,
-    next_owner_req: RequestId,
+/// The task holding the CPU: its index, last (re)start, the work it
+/// still owed then, and the instant it completes if left alone.
+#[derive(Clone, Copy)]
+struct Serving {
+    task: usize,
+    since: SimTime,
+    remaining: f64,
+    completion: SimTime,
+}
+
+impl Serving {
+    fn start(task: usize, since: SimTime, remaining: f64) -> Self {
+        let completion = since + SimTime::new(remaining);
+        Self {
+            task,
+            since,
+            remaining,
+            completion,
+        }
+    }
 }
 
 /// Simulate one workstation running several tasks (one per job) that
 /// arrive at the given times, under owner interference. Returns the
 /// absolute completion time of each task.
+///
+/// Tasks share the CPU first come, first served. An owner request
+/// preempts the task in service, which resumes ahead of the queue when
+/// the burst ends. Ties follow the module docs: an owner request on a
+/// completion instant preempts the finishing task.
 pub fn run_station_tasks(
     owner: &OwnerWorkload,
     jobs: &[JobSpec],
@@ -76,138 +90,58 @@ pub fn run_station_tasks(
             "bad job spec {j:?}"
         );
     }
-    let mut engine = Engine::new();
-    let state = Rc::new(RefCell::new(MState {
-        facility: Facility::new("cpu"),
-        owner: owner.clone(),
-        rng: Xoshiro256StarStar::new(rng.next()),
-        completion_ev: None,
-        done: vec![None; jobs.len()],
-        remaining: jobs.len(),
-        next_owner_req: OWNER_BASE,
-    }));
-
-    // Task arrivals.
-    for (i, job) in jobs.iter().enumerate() {
-        let sc = state.clone();
-        let demand = job.task_demand;
-        engine
-            .schedule(SimTime::new(job.arrival), move |e| {
-                task_arrival(e, &sc, i as RequestId, demand)
-            })
-            .expect("schedule task arrival");
-    }
-    // First owner arrival.
-    {
-        let think = {
-            let mut guard = state.borrow_mut();
-            let st = &mut *guard;
-            st.owner.sample_think(&mut st.rng)
-        };
-        let sc = state.clone();
-        engine
-            .schedule(SimTime::new(think), move |e| owner_arrival(e, &sc))
-            .expect("schedule first owner arrival");
-    }
-    engine.run_to_quiescence(None);
-
-    let st = state.borrow();
-    st.done
-        .iter()
-        .map(|d| d.expect("all tasks complete when the calendar drains"))
-        .collect()
-}
-
-fn task_arrival(engine: &mut Engine, state: &Rc<RefCell<MState>>, id: RequestId, demand: f64) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    let (outcome, preempted) = st
-        .facility
-        .submit(
-            now,
-            Request {
-                id,
-                priority: TASK_PRIORITY,
-                demand,
-            },
-        )
-        .expect("task demand is positive");
-    debug_assert!(preempted.is_none(), "a task never preempts anything");
-    if let RequestOutcome::Started { completion } = outcome {
-        let sc = state.clone();
-        let ev = engine
-            .schedule(completion, move |e| service_complete(e, &sc))
-            .expect("schedule task completion");
-        st.completion_ev = Some(ev);
-    }
-}
-
-fn owner_arrival(engine: &mut Engine, state: &Rc<RefCell<MState>>) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    if st.remaining == 0 {
-        return;
-    }
-    let demand = st.owner.sample_service(&mut st.rng);
-    let id = st.next_owner_req;
-    st.next_owner_req += 1;
-    let (outcome, preempted) = st
-        .facility
-        .submit(
-            now,
-            Request {
-                id,
-                priority: OWNER_PRIORITY,
-                demand,
-            },
-        )
-        .expect("owner demand is positive");
-    let RequestOutcome::Started { completion } = outcome else {
-        unreachable!("owner outranks tasks and no other owner is active");
-    };
-    if preempted.is_some() {
-        if let Some(ev) = st.completion_ev.take() {
-            engine.cancel(ev);
+    let mut rng = Xoshiro256StarStar::new(rng.next());
+    // Arrival order; the stable sort keeps equal arrivals in job order.
+    let mut arrivals: Vec<usize> = (0..jobs.len()).collect();
+    arrivals.sort_by_key(|&i| SimTime::new(jobs[i].arrival));
+    let mut arrivals = arrivals.into_iter().peekable();
+    // Tasks waiting for the CPU with the work they still owe.
+    let mut waiting: VecDeque<(usize, f64)> = VecDeque::new();
+    let mut serving: Option<Serving> = None;
+    // The owner's next request, or the end of its burst while busy.
+    let mut owner_at = SimTime::new(owner.sample_think(&mut rng));
+    let mut owner_busy = false;
+    let mut done = vec![f64::NAN; jobs.len()];
+    let mut left = jobs.len();
+    while left > 0 {
+        // At equal times: a task arrival, then the owner, then the
+        // completion of the task in service.
+        let completion = serving.map(|s| s.completion);
+        let first = |at: SimTime| at <= owner_at && completion.is_none_or(|c| at <= c);
+        if let Some(task) = arrivals.next_if(|&i| first(SimTime::new(jobs[i].arrival))) {
+            let (now, demand) = (SimTime::new(jobs[task].arrival), jobs[task].task_demand);
+            if owner_busy || serving.is_some() {
+                waiting.push_back((task, demand));
+            } else {
+                serving = Some(Serving::start(task, now, demand));
+            }
+        } else if completion.is_none_or(|c| owner_at <= c) {
+            let now = owner_at;
+            if owner_busy {
+                owner_busy = false;
+                owner_at = now + SimTime::new(owner.sample_think(&mut rng));
+                serving = waiting
+                    .pop_front()
+                    .map(|(task, remaining)| Serving::start(task, now, remaining));
+            } else {
+                let burst = owner.sample_service(&mut rng);
+                if let Some(s) = serving.take() {
+                    let remaining = (s.remaining - (now - s.since).as_f64()).max(0.0);
+                    waiting.push_front((s.task, remaining));
+                }
+                owner_busy = true;
+                owner_at = now + SimTime::new(burst);
+            }
+        } else {
+            let s = serving.take().expect("a completion is pending");
+            done[s.task] = s.completion.as_f64();
+            left -= 1;
+            serving = waiting
+                .pop_front()
+                .map(|(task, remaining)| Serving::start(task, s.completion, remaining));
         }
     }
-    let sc = state.clone();
-    drop(guard);
-    let ev = engine
-        .schedule(completion, move |e| service_complete(e, &sc))
-        .expect("schedule owner completion");
-    state.borrow_mut().completion_ev = Some(ev);
-}
-
-fn service_complete(engine: &mut Engine, state: &Rc<RefCell<MState>>) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    st.completion_ev = None;
-    let (finished, next) = st
-        .facility
-        .complete_current(now)
-        .expect("something was in service");
-    if finished < OWNER_BASE {
-        // A task finished.
-        st.done[finished as usize] = Some(now.as_f64());
-        st.remaining -= 1;
-    } else if st.remaining > 0 {
-        // An owner burst finished: think, then come back.
-        let think = st.owner.sample_think(&mut st.rng);
-        let sc = state.clone();
-        engine
-            .schedule(now + SimTime::new(think), move |e| owner_arrival(e, &sc))
-            .expect("schedule next owner arrival");
-    }
-    if let Some((_, completion)) = next {
-        let sc = state.clone();
-        let ev = engine
-            .schedule(completion, move |e| service_complete(e, &sc))
-            .expect("schedule resumed completion");
-        st.completion_ev = Some(ev);
-    }
+    done
 }
 
 /// A multi-job workload across a homogeneous pool.
@@ -286,6 +220,25 @@ mod tests {
         }];
         let times = run_station_tasks(&ow, &jobs, &mut rng(1));
         assert!((times[0] - 100.0).abs() < 0.5, "time {}", times[0]);
+
+        // The paper's integer-time owner requests the CPU on completion
+        // instants. This loop serves the owner first and the one-task
+        // loop the completion, so a task can end up to one burst O
+        // later here, and never earlier.
+        let paper = OwnerWorkload::paper_from_utilization(10.0, 0.2).unwrap();
+        let jobs = [JobSpec {
+            task_demand: 40.0,
+            arrival: 0.0,
+        }];
+        let mut later = 0;
+        for seed in 0..1_000 {
+            let multi = run_station_tasks(&paper, &jobs, &mut rng(seed))[0];
+            let single = crate::continuous::run_task(&paper, 40.0, &mut rng(seed));
+            let delta = multi - single.execution_time;
+            assert!((0.0..=10.0).contains(&delta), "seed {seed}: delta {delta}");
+            later += usize::from(delta > 0.0);
+        }
+        assert!(later > 0, "no seed put an owner request on a completion");
     }
 
     #[test]

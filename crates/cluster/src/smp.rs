@@ -10,28 +10,19 @@
 
 use crate::owner::OwnerWorkload;
 use crate::task::TaskOutcome;
-use nds_des::resource::MultiFacility;
-use nds_des::{Engine, EventId, Request, RequestId, RequestOutcome, SimTime};
+use nds_des::{Calendar, SimTime};
 use nds_stats::rng::Xoshiro256StarStar;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::collections::VecDeque;
 
-const OWNER_PRIORITY: i32 = 10;
-const TASK_PRIORITY: i32 = 0;
-const TASK_REQ: RequestId = 0;
-const OWNER_BASE: RequestId = 1 << 32;
-
-struct SmpState {
-    facility: MultiFacility,
-    owners: Vec<OwnerWorkload>,
-    rng: Xoshiro256StarStar,
-    task_completion: Option<EventId>,
-    task_done: Option<SimTime>,
-    interruptions: u64,
-    next_owner_req: RequestId,
-    /// Which owner stream issued each live owner request. Ordered map
-    /// so any future iteration over live requests stays deterministic.
-    req_owner: std::collections::BTreeMap<RequestId, usize>,
+/// The events of one SMP run. Owner events carry their stream's index.
+#[derive(Debug, Clone, Copy)]
+enum SmpEvent {
+    /// The parallel task completes.
+    Task,
+    /// Owner stream `i` requests a CPU.
+    OwnerArrival(usize),
+    /// Owner stream `i` finishes its burst.
+    OwnerDone(usize),
 }
 
 /// A workstation with `cpus` identical CPUs, one parallel task, and one
@@ -63,172 +54,95 @@ impl SmpWorkstation {
 
     /// Run one parallel task to completion under the machine's owner
     /// interference.
+    ///
+    /// An owner burst takes a free CPU if there is one, else preempts
+    /// the task, else waits in FIFO order behind the other queued
+    /// bursts. A freed CPU goes to the oldest queued burst before the
+    /// preempted task. At equal times events fire in the order they
+    /// were scheduled.
     pub fn run_task(&self, task_demand: f64, rng: &mut Xoshiro256StarStar) -> TaskOutcome {
         assert!(
             task_demand > 0.0 && task_demand.is_finite(),
             "task demand must be finite and > 0"
         );
-        let mut engine = Engine::new();
-        let state = Rc::new(RefCell::new(SmpState {
-            facility: MultiFacility::new("smp", self.cpus),
-            owners: self.owners.clone(),
-            rng: Xoshiro256StarStar::new(rng.next()),
-            task_completion: None,
-            task_done: None,
-            interruptions: 0,
-            next_owner_req: OWNER_BASE,
-            req_owner: std::collections::BTreeMap::new(),
-        }));
-
-        // Submit the task.
-        {
-            let mut guard = state.borrow_mut();
-            let st = &mut *guard;
-            let (outcome, _) = st
-                .facility
-                .submit(
-                    SimTime::ZERO,
-                    Request {
-                        id: TASK_REQ,
-                        priority: TASK_PRIORITY,
+        let mut rng = Xoshiro256StarStar::new(rng.next());
+        let mut calendar = Calendar::new();
+        // The task's last (re)start, the work it still owed then, and
+        // its completion event while it holds a CPU.
+        let mut since = SimTime::ZERO;
+        let mut remaining = task_demand;
+        let mut task = Some(
+            calendar
+                .schedule(since + SimTime::new(remaining), SmpEvent::Task)
+                .expect("the task starts at time zero"),
+        );
+        for (i, owner) in self.owners.iter().enumerate() {
+            let think = SimTime::new(owner.sample_think(&mut rng));
+            calendar
+                .post(think, SmpEvent::OwnerArrival(i))
+                .expect("first owner arrival is in the future");
+        }
+        // Owners holding a CPU, and bursts waiting for one.
+        let mut busy = 0;
+        let mut queued: VecDeque<(usize, f64)> = VecDeque::new();
+        let mut interruptions = 0;
+        loop {
+            let (now, event) = calendar
+                .pop()
+                .expect("owner streams keep the calendar busy until the task completes");
+            match event {
+                SmpEvent::Task => {
+                    let done = now.as_f64();
+                    return TaskOutcome {
+                        execution_time: done,
                         demand: task_demand,
-                    },
-                )
-                .expect("fresh facility accepts the task");
-            let RequestOutcome::Started { completion } = outcome else {
-                unreachable!("empty facility starts immediately");
-            };
-            let sc = state.clone();
-            let ev = engine
-                .schedule(completion, move |e| smp_task_complete(e, &sc))
-                .expect("schedule task completion");
-            st.task_completion = Some(ev);
-        }
-        // One arrival process per owner.
-        for owner_idx in 0..self.owners.len() {
-            let think = {
-                let mut guard = state.borrow_mut();
-                let st = &mut *guard;
-                st.owners[owner_idx].sample_think(&mut st.rng)
-            };
-            let sc = state.clone();
-            engine
-                .schedule(SimTime::new(think), move |e| {
-                    smp_owner_arrival(e, &sc, owner_idx)
-                })
-                .expect("schedule first owner arrival");
-        }
-        engine.run_to_quiescence(None);
-
-        let st = state.borrow();
-        let done = st
-            .task_done
-            .expect("task completes once the calendar drains")
-            .as_f64();
-        TaskOutcome {
-            execution_time: done,
-            demand: task_demand,
-            interruptions: st.interruptions,
-            suspended_time: done - task_demand,
-        }
-    }
-}
-
-fn smp_owner_arrival(engine: &mut Engine, state: &Rc<RefCell<SmpState>>, owner_idx: usize) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    if st.task_done.is_some() {
-        return;
-    }
-    let demand = st.owners[owner_idx].sample_service(&mut st.rng);
-    let id = st.next_owner_req;
-    st.next_owner_req += 1;
-    st.req_owner.insert(id, owner_idx);
-    let (outcome, preempted) = st
-        .facility
-        .submit(
-            now,
-            Request {
-                id,
-                priority: OWNER_PRIORITY,
-                demand,
-            },
-        )
-        .expect("owner demand positive");
-    if preempted.is_some() {
-        st.interruptions += 1;
-        if let Some(ev) = st.task_completion.take() {
-            engine.cancel(ev);
+                        interruptions,
+                        suspended_time: done - task_demand,
+                    };
+                }
+                SmpEvent::OwnerArrival(i) => {
+                    let burst = self.owners[i].sample_service(&mut rng);
+                    if busy + usize::from(task.is_some()) == self.cpus {
+                        let Some(handle) = task.take() else {
+                            // Every CPU holds an owner: wait for one.
+                            queued.push_back((i, burst));
+                            continue;
+                        };
+                        calendar.cancel(handle);
+                        interruptions += 1;
+                        remaining = (remaining - (now - since).as_f64()).max(0.0);
+                    }
+                    busy += 1;
+                    calendar
+                        .post(now + SimTime::new(burst), SmpEvent::OwnerDone(i))
+                        .expect("a burst ends after it starts");
+                }
+                SmpEvent::OwnerDone(i) => {
+                    // The freed CPU goes to the oldest queued burst,
+                    // else back to a preempted task.
+                    if let Some((j, burst)) = queued.pop_front() {
+                        calendar
+                            .post(now + SimTime::new(burst), SmpEvent::OwnerDone(j))
+                            .expect("a burst ends after it starts");
+                    } else {
+                        busy -= 1;
+                        if task.is_none() {
+                            since = now;
+                            task = Some(
+                                calendar
+                                    .schedule(now + SimTime::new(remaining), SmpEvent::Task)
+                                    .expect("the task ends after it resumes"),
+                            );
+                        }
+                    }
+                    let think = SimTime::new(self.owners[i].sample_think(&mut rng));
+                    calendar
+                        .post(now + think, SmpEvent::OwnerArrival(i))
+                        .expect("an owner thinks before its next request");
+                }
+            }
         }
     }
-    match outcome {
-        RequestOutcome::Started { completion } => {
-            let sc = state.clone();
-            drop(guard);
-            engine
-                .schedule(completion, move |e| smp_owner_complete(e, &sc, id))
-                .expect("schedule owner completion");
-        }
-        RequestOutcome::Queued => {
-            // All CPUs hold owners already; this burst waits its turn.
-            // Its completion event is scheduled when a completion
-            // handler promotes it out of the queue.
-        }
-    }
-}
-
-fn smp_owner_complete(engine: &mut Engine, state: &Rc<RefCell<SmpState>>, id: RequestId) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    let owner_idx = st
-        .req_owner
-        .remove(&id)
-        .expect("every owner request is tracked");
-    let promoted = st
-        .facility
-        .complete(now, id)
-        .expect("owner burst was in service");
-    if let Some((rid, completion)) = promoted {
-        if rid == TASK_REQ {
-            let sc = state.clone();
-            let ev = engine
-                .schedule(completion, move |e| smp_task_complete(e, &sc))
-                .expect("schedule resumed task");
-            st.task_completion = Some(ev);
-        } else {
-            // A queued owner burst reaches a server; schedule its
-            // completion (its stream is recovered from req_owner then).
-            let sc = state.clone();
-            engine
-                .schedule(completion, move |e| smp_owner_complete(e, &sc, rid))
-                .expect("schedule promoted owner completion");
-        }
-    }
-    // The finishing burst's owner starts thinking again.
-    if st.task_done.is_none() {
-        let think = st.owners[owner_idx].sample_think(&mut st.rng);
-        let sc = state.clone();
-        drop(guard);
-        engine
-            .schedule(now + SimTime::new(think), move |e| {
-                smp_owner_arrival(e, &sc, owner_idx)
-            })
-            .expect("schedule next owner arrival");
-    }
-}
-
-fn smp_task_complete(engine: &mut Engine, state: &Rc<RefCell<SmpState>>) {
-    let now = engine.now();
-    let mut guard = state.borrow_mut();
-    let st = &mut *guard;
-    st.facility
-        .complete(now, TASK_REQ)
-        .expect("task was in service");
-    st.task_completion = None;
-    st.task_done = Some(now);
-    let _ = engine;
 }
 
 #[cfg(test)]

@@ -1,13 +1,12 @@
-//! The typed event calendar: the zero-allocation sibling of
-//! [`crate::engine::Engine`].
+//! The typed event calendar.
 //!
 //! [`Calendar<E>`] stores plain event *values* instead of boxed
 //! closures. Each heap entry packs the `(time, seq)` ordering key into
 //! one integer and carries its payload inline; cancellable events are
 //! additionally backed by a generation slab addressed by
 //! [`EventHandle`]s, while fire-and-forget events ([`Calendar::post`])
-//! skip the slab entirely. That buys the hot path three things the
-//! closure calendar cannot offer:
+//! skip the slab entirely. That buys the hot path three things a
+//! calendar of boxed closures cannot offer:
 //!
 //! * **no per-event heap allocation** — scheduling an event reuses a
 //!   slab slot and pushes a `Copy` entry onto the heap; once the heap
@@ -16,18 +15,16 @@
 //! * **O(1) cancellation without hash sets** — cancelling bumps the
 //!   slot's generation, instantly invalidating the matching heap entry
 //!   (validity at pop time is a single integer compare against the
-//!   slab, replacing the `alive`/`cancelled` `HashSet` pair);
+//!   slab, replacing an `alive`/`cancelled` set pair);
 //! * **an inverted control flow** — [`Calendar::pop`] hands the next
 //!   event *value* back to the caller, so the driving loop owns its
 //!   state directly (`&mut Sim`) instead of threading it through
 //!   `Rc<RefCell<..>>` captures.
 //!
-//! Ordering is identical to the closure engine: earliest time first,
-//! ties broken by insertion sequence number, which keeps runs
-//! bit-for-bit deterministic. The two calendars deliberately coexist —
-//! `Engine` remains the ergonomic choice for doc examples and
-//! ad-hoc models, `Calendar<E>` is the substrate for engines with a
-//! closed event vocabulary (see `nds-sched`'s `SchedEvent`).
+//! Ordering is earliest time first, ties broken by insertion sequence
+//! number, which keeps runs bit-for-bit deterministic. Models with a
+//! closed event vocabulary name their events in an enum (see
+//! `nds-sched`'s `SchedEvent` and `nds-cluster`'s SMP workstation).
 
 use crate::error::DesError;
 use crate::time::SimTime;
@@ -81,8 +78,8 @@ impl<E> PartialEq for Entry<E> {
 }
 impl<E> Eq for Entry<E> {}
 
-// BinaryHeap is a max-heap; invert the ordering to pop earliest first,
-// exactly as the closure engine does.
+// BinaryHeap is a max-heap; invert the ordering to pop the earliest
+// time first, then the lowest sequence number.
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         other.key.cmp(&self.key)

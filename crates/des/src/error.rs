@@ -1,8 +1,8 @@
-//! Error type for the simulation engine.
+//! Error type for the event calendar.
 
 use std::fmt;
 
-/// Errors produced by the discrete-event engine and its resources.
+/// Errors produced by the event calendar.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DesError {
     /// An event was scheduled in the past.
@@ -11,18 +11,6 @@ pub enum DesError {
         now: f64,
         /// Requested (past) event time.
         requested: f64,
-    },
-    /// An operation referenced a request the facility does not hold.
-    UnknownRequest {
-        /// The offending request id.
-        id: u64,
-    },
-    /// `complete_current` was called while the facility was idle.
-    FacilityIdle,
-    /// A demand or service time was invalid.
-    InvalidDemand {
-        /// The rejected value.
-        value: f64,
     },
 }
 
@@ -34,11 +22,6 @@ impl fmt::Display for DesError {
                     f,
                     "cannot schedule at {requested} before current time {now}"
                 )
-            }
-            DesError::UnknownRequest { id } => write!(f, "unknown request id {id}"),
-            DesError::FacilityIdle => write!(f, "facility is idle"),
-            DesError::InvalidDemand { value } => {
-                write!(f, "invalid demand {value}: must be finite and > 0")
             }
         }
     }
@@ -58,10 +41,5 @@ mod tests {
         }
         .to_string()
         .contains("before current time"));
-        assert!(DesError::UnknownRequest { id: 7 }.to_string().contains('7'));
-        assert_eq!(DesError::FacilityIdle.to_string(), "facility is idle");
-        assert!(DesError::InvalidDemand { value: -1.0 }
-            .to_string()
-            .contains("-1"));
     }
 }
