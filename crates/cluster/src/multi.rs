@@ -10,10 +10,12 @@
 //!
 //! One station is a direct loop over task arrivals, owner requests and
 //! completions. At equal times a task arrival comes first, then an
-//! owner request, then a task completion. That is the reverse of
-//! [`ContinuousWorkstation`](crate::ContinuousWorkstation)'s tie rule,
-//! so on the paper's integer-time owner a one-job station can finish
-//! its task up to one owner burst later than that workstation does.
+//! owner request, then a task completion. An owner request on a
+//! completion instant therefore preempts the finishing task. That is
+//! the reverse of [`ContinuousWorkstation`](crate::ContinuousWorkstation)'s
+//! tie rule, so on the paper's integer-time owner a one-job station can
+//! finish its task up to one owner burst later than that workstation
+//! does.
 
 use crate::owner::OwnerWorkload;
 use nds_des::SimTime;
